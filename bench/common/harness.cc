@@ -1,5 +1,6 @@
 #include "common/harness.hh"
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "support/panic.hh"
@@ -7,23 +8,42 @@
 
 namespace pep::bench {
 
+double
+benchScale()
+{
+    const char *env = std::getenv("PEP_BENCH_SCALE");
+    if (!env)
+        return 1.0;
+    char *end = nullptr;
+    const double scale = std::strtod(env, &end);
+    if (end == env || *end != '\0' || !(scale > 0.0 && scale <= 1.0)) {
+        support::warn(std::string("ignoring invalid PEP_BENCH_SCALE=") +
+                      env + " (want 0 < s <= 1); using 1");
+        return 1.0;
+    }
+    return scale;
+}
+
 std::vector<workload::WorkloadSpec>
 benchSuite()
 {
-    double scale = 1.0;
-    if (const char *env = std::getenv("PEP_BENCH_SCALE")) {
-        scale = std::atof(env);
-        if (scale <= 0.0 || scale > 1.0) {
-            support::warn("ignoring invalid PEP_BENCH_SCALE");
-            scale = 1.0;
-        }
-    }
     std::vector<workload::WorkloadSpec> suite =
-        workload::scaledSuite(scale);
-    if (const char *only = std::getenv("PEP_BENCH_ONLY")) {
-        std::erase_if(suite, [&](const workload::WorkloadSpec &spec) {
-            return spec.name != only;
-        });
+        workload::scaledSuite(benchScale());
+    const char *only = std::getenv("PEP_BENCH_ONLY");
+    if (!only)
+        return suite;
+    std::string names;
+    for (const workload::WorkloadSpec &spec : suite)
+        names += (names.empty() ? "" : ", ") + spec.name;
+    std::erase_if(suite, [&](const workload::WorkloadSpec &spec) {
+        return spec.name != only;
+    });
+    if (suite.empty()) {
+        std::fprintf(stderr,
+                     "PEP_BENCH_ONLY=%s names no benchmark; valid "
+                     "names: %s\n",
+                     only, names.c_str());
+        std::exit(2);
     }
     return suite;
 }

@@ -36,7 +36,13 @@
 
 namespace pep::bench {
 
-/** Suite scaled per the PEP_BENCH_SCALE environment variable. */
+/** PEP_BENCH_SCALE, or 1.0 when it is unset; an invalid value
+ *  (not a number, or outside 0 < s <= 1) warns and gives 1.0. */
+double benchScale();
+
+/** Suite scaled by benchScale(), restricted to PEP_BENCH_ONLY when it
+ *  is set. An unknown PEP_BENCH_ONLY lists the valid names on stderr
+ *  and exits with status 2. */
 std::vector<workload::WorkloadSpec> benchSuite();
 
 /** The default simulation parameters used by every harness. */

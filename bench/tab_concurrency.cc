@@ -1,7 +1,7 @@
 /**
  * @file
- * Concurrency table: profiling under the concurrent runtime, emitted
- * as BENCH_PR4.json. Three measurements:
+ * Concurrency table: profiling under the concurrent runtime. Two
+ * measurements:
  *
  *   1. cooperative scaling — a request stream run under the
  *      cooperative scheduler with K = 1, 2, 4, 8 virtual mutator
@@ -14,23 +14,18 @@
  *      contract of docs/RUNTIME.md);
  *   2. throughput worker scaling — the same stream sharded over
  *      1..N OS worker threads with the sharded, cache-line-padded
- *      aggregator: requests/second per worker count;
- *   3. sharded vs. mutex-global aggregation at N workers — the
- *      throughput ratio, plus a count-for-count identity check of the
- *      merged edge and path profiles (divergence is a hard failure) —
- *      and a ring-transport row (requests/second, drop rate, and the
- *      produced == consumed + dropped conservation law, also a hard
- *      failure; tab_transport / BENCH_PR7.json measures the ring in
- *      depth).
+ *      aggregator: requests/second per worker count.
  *
- * Usage: tab_concurrency [output.json]   (default BENCH_PR4.json)
+ * The aggregation strategies (sharded, mutex, ring) are compared, and
+ * checked count for count against each other, by tab_transport.
+ *
+ * Usage: tab_concurrency [output.json]   (default tab_concurrency.json)
  * PEP_BENCH_SCALE scales the request count.
  */
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
@@ -38,6 +33,7 @@
 #include <vector>
 
 #include "common/harness.hh"
+#include "common/report.hh"
 #include "core/pep_profiler.hh"
 #include "core/sampling.hh"
 #include "metrics/overlap.hh"
@@ -49,18 +45,6 @@
 using namespace pep;
 
 namespace {
-
-double
-benchScale()
-{
-    double scale = 1.0;
-    if (const char *env = std::getenv("PEP_BENCH_SCALE")) {
-        scale = std::atof(env);
-        if (scale <= 0.0 || scale > 1.0)
-            scale = 1.0;
-    }
-    return scale;
-}
 
 /** Everything observable about one cooperative run, serialized; two
  *  runs with identical seeds must compare equal byte for byte. */
@@ -109,7 +93,8 @@ struct CoopRow
 
 CoopRow
 runCoopCell(const runtime::RequestStream &stream,
-            const vm::SimParams &params, std::uint32_t threads)
+            const vm::SimParams &params, std::uint32_t threads,
+            bench::Report &report)
 {
     CoopRow row;
     row.threads = threads;
@@ -121,17 +106,10 @@ runCoopCell(const runtime::RequestStream &stream,
         runtime::CoopScheduler scheduler(machine, coop);
         scheduler.assignRoundRobin(stream);
         scheduler.run();
-        if (scheduler.stats().requestsCompleted !=
-            stream.requests().size()) {
-            std::fprintf(stderr,
-                         "tab_concurrency: K=%u completed %llu of "
-                         "%zu requests\n",
-                         threads,
-                         static_cast<unsigned long long>(
-                             scheduler.stats().requestsCompleted),
-                         stream.requests().size());
-            std::exit(1);
-        }
+        report.check(scheduler.stats().requestsCompleted ==
+                         stream.requests().size(),
+                     "K=" + std::to_string(threads) +
+                         " did not complete every request");
         return scheduler.stats();
     };
 
@@ -179,39 +157,15 @@ runCoopCell(const runtime::RequestStream &stream,
     return row;
 }
 
-struct ThroughputRow
-{
-    std::uint32_t workers = 1;
-    double wallSeconds = 0.0;
-    double requestsPerSecond = 0.0;
-    std::uint64_t pathRecords = 0;
-    std::uint64_t flushedEdgeCount = 0;
-};
-
-bool
-edgesIdentical(const profile::EdgeProfileSet &a,
-               const profile::EdgeProfileSet &b)
-{
-    if (a.perMethod.size() != b.perMethod.size())
-        return false;
-    for (std::size_t m = 0; m < a.perMethod.size(); ++m)
-        if (a.perMethod[m].counts() != b.perMethod[m].counts())
-            return false;
-    return true;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const std::string json_path =
-        argc > 1 ? argv[1] : "BENCH_PR4.json";
-
     runtime::RequestStreamSpec spec;
     spec.seed = 401;
     spec.requests = std::max<std::uint32_t>(
-        64, static_cast<std::uint32_t>(4096 * benchScale()));
+        64, static_cast<std::uint32_t>(4096 * bench::benchScale()));
     const runtime::RequestStream stream(spec);
 
     vm::SimParams params = bench::defaultParams();
@@ -220,16 +174,15 @@ main(int argc, char **argv)
     params.tickCycles = 10'000;
     params.rngSeed = spec.seed ^ 0x7ead5eedull;
 
+    bench::Report report("tab_concurrency");
+    report.set("requests", spec.requests, "count");
+
     // ---- cooperative scaling ----------------------------------------
     std::printf("tab_concurrency: %u requests, cooperative runs...\n",
                 spec.requests);
     const std::uint32_t kValues[] = {1, 2, 4, 8};
-    std::vector<CoopRow> coop;
-    bool all_deterministic = true;
     for (const std::uint32_t k : kValues) {
-        coop.push_back(runCoopCell(stream, params, k));
-        const CoopRow &row = coop.back();
-        all_deterministic = all_deterministic && row.deterministic;
+        const CoopRow row = runCoopCell(stream, params, k, report);
         std::printf("  K=%u  base %10llu  pep %10llu  overhead %6s  "
                     "rel %.4f  abs %.4f  switches %6llu  %s\n",
                     row.threads,
@@ -241,6 +194,23 @@ main(int argc, char **argv)
                         row.contextSwitches),
                     row.deterministic ? "deterministic"
                                       : "NON-DETERMINISTIC");
+        const std::string prefix = "coop.k" + std::to_string(k) + ".";
+        report.set(prefix + "base_cycles",
+                   static_cast<double>(row.baseCycles), "count");
+        report.set(prefix + "pep_cycles",
+                   static_cast<double>(row.pepCycles), "count");
+        report.set(prefix + "overhead", row.overhead, "ratio");
+        report.set(prefix + "relative_overlap", row.relativeOverlap,
+                   "ratio");
+        report.set(prefix + "absolute_overlap", row.absoluteOverlap,
+                   "ratio");
+        report.set(prefix + "context_switches",
+                   static_cast<double>(row.contextSwitches), "count");
+        report.set(prefix + "samples_recorded",
+                   static_cast<double>(row.samplesRecorded), "count");
+        report.check(row.deterministic,
+                     "K=" + std::to_string(k) +
+                         " PEP run is not deterministic");
     }
 
     // ---- throughput worker scaling ----------------------------------
@@ -252,140 +222,23 @@ main(int argc, char **argv)
     runtime::ThroughputOptions t_options;
     t_options.epochRequests = 64;
     t_options.params = params;
-
-    std::vector<ThroughputRow> scaling;
-    for (std::uint32_t w = 1; w <= max_workers; ++w) {
-        t_options.workers = w;
-        t_options.aggregation =
-            runtime::ThroughputOptions::Aggregation::Sharded;
-        const runtime::ThroughputResult r =
-            runtime::runThroughput(stream, t_options);
-        ThroughputRow row;
-        row.workers = w;
-        row.wallSeconds = r.wallSeconds;
-        row.requestsPerSecond = r.requestsPerSecond;
-        row.pathRecords = r.pathRecords;
-        row.flushedEdgeCount = r.edges.totalCount();
-        scaling.push_back(row);
-        std::printf("  workers=%u  %9.0f req/s  (%.4f s wall)\n", w,
-                    row.requestsPerSecond, row.wallSeconds);
-    }
-
-    // ---- sharded vs mutex at max workers ----------------------------
-    t_options.workers = max_workers;
     t_options.aggregation =
         runtime::ThroughputOptions::Aggregation::Sharded;
-    const runtime::ThroughputResult sharded =
-        runtime::runThroughput(stream, t_options);
-    t_options.aggregation =
-        runtime::ThroughputOptions::Aggregation::Mutex;
-    const runtime::ThroughputResult mutex_global =
-        runtime::runThroughput(stream, t_options);
-    t_options.aggregation =
-        runtime::ThroughputOptions::Aggregation::Ring;
-    const runtime::ThroughputResult ring =
-        runtime::runThroughput(stream, t_options);
-
-    const bool identical =
-        edgesIdentical(sharded.edges, mutex_global.edges) &&
-        sharded.paths == mutex_global.paths;
-    // The ring transport's own invariant: every sample offered is
-    // either applied or counted as dropped (see docs/RUNTIME.md).
-    const bool ring_conserved =
-        ring.transport.produced ==
-        ring.transport.consumed + ring.transport.dropped;
-    const double agg_speedup =
-        mutex_global.requestsPerSecond > 0.0
-            ? sharded.requestsPerSecond /
-                  mutex_global.requestsPerSecond
-            : 0.0;
-    std::printf("  sharded %9.0f req/s vs mutex %9.0f req/s "
-                "(%.2fx), profiles %s\n",
-                sharded.requestsPerSecond,
-                mutex_global.requestsPerSecond, agg_speedup,
-                identical ? "identical" : "DIVERGE");
-    std::printf("  ring    %9.0f req/s (drop-rate %.4f%%, "
-                "conservation %s)\n",
-                ring.requestsPerSecond,
-                100.0 * ring.transport.dropRate(),
-                ring_conserved ? "ok" : "VIOLATED");
-
-    // ---- JSON -------------------------------------------------------
-    FILE *json = std::fopen(json_path.c_str(), "w");
-    if (!json) {
-        std::fprintf(stderr, "tab_concurrency: cannot write %s\n",
-                     json_path.c_str());
-        return 1;
+    for (std::uint32_t w = 1; w <= max_workers; ++w) {
+        t_options.workers = w;
+        const runtime::ThroughputResult r =
+            runtime::runThroughput(stream, t_options);
+        std::printf("  workers=%u  %9.0f req/s  (%.4f s wall)\n", w,
+                    r.requestsPerSecond, r.wallSeconds);
+        const std::string prefix =
+            "scaling.w" + std::to_string(w) + ".";
+        report.set(prefix + "wall_seconds", r.wallSeconds, "s");
+        report.set(prefix + "requests_per_sec", r.requestsPerSecond,
+                   "1/s");
+        report.set(prefix + "path_records",
+                   static_cast<double>(r.pathRecords), "count");
+        report.set(prefix + "edge_count",
+                   static_cast<double>(r.edges.totalCount()), "count");
     }
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"requests\": %u,\n", spec.requests);
-    std::fprintf(json, "  \"coop\": [\n");
-    for (std::size_t i = 0; i < coop.size(); ++i) {
-        const CoopRow &row = coop[i];
-        std::fprintf(json,
-                     "    {\"virtual_threads\": %u, "
-                     "\"base_cycles\": %llu, "
-                     "\"pep_cycles\": %llu, "
-                     "\"overhead\": %.6f, "
-                     "\"relative_overlap\": %.6f, "
-                     "\"absolute_overlap\": %.6f, "
-                     "\"context_switches\": %llu, "
-                     "\"samples_recorded\": %llu, "
-                     "\"deterministic\": %s}%s\n",
-                     row.threads,
-                     static_cast<unsigned long long>(row.baseCycles),
-                     static_cast<unsigned long long>(row.pepCycles),
-                     row.overhead, row.relativeOverlap,
-                     row.absoluteOverlap,
-                     static_cast<unsigned long long>(
-                         row.contextSwitches),
-                     static_cast<unsigned long long>(
-                         row.samplesRecorded),
-                     row.deterministic ? "true" : "false",
-                     i + 1 < coop.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n");
-    std::fprintf(json, "  \"throughput_scaling\": [\n");
-    for (std::size_t i = 0; i < scaling.size(); ++i) {
-        const ThroughputRow &row = scaling[i];
-        std::fprintf(json,
-                     "    {\"workers\": %u, "
-                     "\"wall_seconds\": %.6f, "
-                     "\"requests_per_sec\": %.1f, "
-                     "\"path_records\": %llu, "
-                     "\"edge_count\": %llu}%s\n",
-                     row.workers, row.wallSeconds,
-                     row.requestsPerSecond,
-                     static_cast<unsigned long long>(row.pathRecords),
-                     static_cast<unsigned long long>(
-                         row.flushedEdgeCount),
-                     i + 1 < scaling.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n");
-    std::fprintf(json, "  \"aggregation\": {\n");
-    std::fprintf(json, "    \"workers\": %u,\n", max_workers);
-    std::fprintf(json, "    \"sharded_requests_per_sec\": %.1f,\n",
-                 sharded.requestsPerSecond);
-    std::fprintf(json, "    \"mutex_requests_per_sec\": %.1f,\n",
-                 mutex_global.requestsPerSecond);
-    std::fprintf(json, "    \"sharded_speedup\": %.4f,\n",
-                 agg_speedup);
-    std::fprintf(json, "    \"profiles_identical\": %s,\n",
-                 identical ? "true" : "false");
-    std::fprintf(json, "    \"ring_requests_per_sec\": %.1f,\n",
-                 ring.requestsPerSecond);
-    std::fprintf(json, "    \"ring_drop_rate\": %.6f,\n",
-                 ring.transport.dropRate());
-    std::fprintf(json, "    \"ring_window_staleness_epochs\": %.6f,\n",
-                 ring.windowStalenessEpochs);
-    std::fprintf(json, "    \"ring_conservation_ok\": %s\n",
-                 ring_conserved ? "true" : "false");
-    std::fprintf(json, "  },\n");
-    std::fprintf(json, "  \"coop_deterministic\": %s\n",
-                 all_deterministic ? "true" : "false");
-    std::fprintf(json, "}\n");
-    std::fclose(json);
-    std::printf("tab_concurrency: wrote %s\n", json_path.c_str());
-
-    return (identical && ring_conserved && all_deterministic) ? 0 : 1;
+    return report.write(argc > 1 ? argv[1] : "tab_concurrency.json");
 }

@@ -1,9 +1,8 @@
 /**
  * @file
- * k-BLPP table (docs/KBLPP.md), emitted as BENCH_PR8.json: what
- * multi-iteration windows buy on the loop-heavy suite. For each
- * benchmark and k in {1, 2, 4, 8} a zero-cost windowed profiler runs
- * under replay and we measure:
+ * k-BLPP table (docs/KBLPP.md): what multi-iteration windows buy on
+ * the loop-heavy suite. For each benchmark and k in {1, 2, 4, 8} a
+ * zero-cost windowed profiler runs under replay and we measure:
  *
  *   - distinct k-paths vs distinct acyclic paths — how much cyclic
  *     structure 1-BLPP was conflating (the paper's core claim is that
@@ -21,8 +20,12 @@
  *     relative to k=1 — the runtime price of window bookkeeping on top
  *     of identical instrumentation (the plan never depends on k).
  *
- * Usage: tab_kiter [output.json]   (default BENCH_PR8.json)
- * PEP_BENCH_SCALE scales the suite.
+ * Range checks decide the exit status: every fraction lies in [0, 1],
+ * k = 1 records no composite window, and the edge agreement of every
+ * k equals k = 1's.
+ *
+ * Usage: tab_kiter [output.json]   (default tab_kiter.json)
+ * PEP_BENCH_SCALE / PEP_BENCH_ONLY apply.
  */
 
 #include <algorithm>
@@ -32,6 +35,7 @@
 #include <vector>
 
 #include "common/harness.hh"
+#include "common/report.hh"
 #include "metrics/overlap.hh"
 #include "support/table.hh"
 
@@ -130,8 +134,6 @@ measureCharged(const bench::Prepared &prepared,
 int
 main(int argc, char **argv)
 {
-    const std::string json_path =
-        argc > 1 ? argv[1] : "BENCH_PR8.json";
     const vm::SimParams params = bench::defaultParams();
 
     const std::vector<BenchResult> results = bench::mapSuite(
@@ -149,12 +151,16 @@ main(int argc, char **argv)
             return result;
         });
 
+    bench::Report report("tab_kiter");
+    const auto in_unit = [](double v) { return v >= 0.0 && v <= 1.0; };
     support::Table table;
     table.header({"benchmark", "k", "distinct", "windows",
                   "composite", "top10", "edge-agree", "overhead"});
-    std::vector<double> ratios[std::size(kValues)];
+    double refinement_sum[std::size(kValues)] = {};
     for (const BenchResult &result : results) {
         const KRow &base = result.rows[0];
+        report.check(base.compositeFraction == 0.0,
+                     result.name + ": k=1 recorded composite windows");
         for (std::size_t i = 0; i < std::size(kValues); ++i) {
             const KRow &row = result.rows[i];
             const double overhead =
@@ -167,7 +173,7 @@ main(int argc, char **argv)
                     ? static_cast<double>(row.distinct) /
                           static_cast<double>(base.distinct)
                     : 1.0;
-            ratios[i].push_back(refinement);
+            refinement_sum[i] += refinement;
             table.row({i == 0 ? result.name : "",
                        std::to_string(kValues[i]),
                        std::to_string(row.distinct),
@@ -176,54 +182,41 @@ main(int argc, char **argv)
                        bench::pct(row.top10Coverage),
                        bench::pct(row.edgeAgreement, 2),
                        std::to_string(overhead).substr(0, 5) + "x"});
+
+            const std::string k = std::to_string(kValues[i]);
+            const std::string prefix =
+                "benchmarks." + result.name + ".k" + k + ".";
+            report.set(prefix + "distinct_paths",
+                       static_cast<double>(row.distinct), "count");
+            report.set(prefix + "windows",
+                       static_cast<double>(row.windows), "count");
+            report.set(prefix + "composite_fraction",
+                       row.compositeFraction, "ratio");
+            report.set(prefix + "top10_coverage", row.top10Coverage,
+                       "ratio");
+            report.set(prefix + "edge_agreement", row.edgeAgreement,
+                       "ratio");
+            report.set(prefix + "charged_cycles",
+                       static_cast<double>(row.chargedCycles), "count");
+            report.check(in_unit(row.compositeFraction) &&
+                             in_unit(row.top10Coverage) &&
+                             in_unit(row.edgeAgreement),
+                         result.name + " k=" + k +
+                             ": a fraction lies outside [0, 1]");
+            report.check(row.edgeAgreement == base.edgeAgreement,
+                         result.name + " k=" + k +
+                             ": edge agreement moved with k");
         }
     }
     std::printf("k-BLPP: multi-iteration path windows vs classic "
                 "BLPP (docs/KBLPP.md)\n\n%s\n",
                 table.str().c_str());
 
-    FILE *json = std::fopen(json_path.c_str(), "w");
-    if (json == nullptr) {
-        std::fprintf(stderr, "tab_kiter: cannot write %s\n",
-                     json_path.c_str());
-        return 1;
-    }
-    std::fprintf(json, "{\n  \"benchmarks\": [\n");
-    for (std::size_t b = 0; b < results.size(); ++b) {
-        const BenchResult &result = results[b];
-        std::fprintf(json, "    {\"name\": \"%s\", \"rows\": [\n",
-                     result.name.c_str());
-        for (std::size_t i = 0; i < std::size(kValues); ++i) {
-            const KRow &row = result.rows[i];
-            std::fprintf(
-                json,
-                "      {\"k\": %u, \"distinct_paths\": %llu, "
-                "\"windows\": %llu, \"composite_fraction\": %.6f, "
-                "\"top10_coverage\": %.6f, \"edge_agreement\": %.6f, "
-                "\"charged_cycles\": %llu}%s\n",
-                kValues[i],
-                static_cast<unsigned long long>(row.distinct),
-                static_cast<unsigned long long>(row.windows),
-                row.compositeFraction, row.top10Coverage,
-                row.edgeAgreement,
-                static_cast<unsigned long long>(row.chargedCycles),
-                i + 1 < std::size(kValues) ? "," : "");
-        }
-        std::fprintf(json, "    ]}%s\n",
-                     b + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n  \"refinement_avg\": {");
     for (std::size_t i = 0; i < std::size(kValues); ++i) {
-        double sum = 0.0;
-        for (const double r : ratios[i])
-            sum += r;
-        const double avg =
-            ratios[i].empty() ? 1.0 : sum / ratios[i].size();
-        std::fprintf(json, "\"k%u\": %.4f%s", kValues[i], avg,
-                     i + 1 < std::size(kValues) ? ", " : "");
+        report.set("refinement_avg.k" + std::to_string(kValues[i]),
+                   refinement_sum[i] /
+                       static_cast<double>(results.size()),
+                   "x");
     }
-    std::fprintf(json, "}\n}\n");
-    std::fclose(json);
-    std::printf("tab_kiter: results in %s\n", json_path.c_str());
-    return 0;
+    return report.write(argc > 1 ? argv[1] : "tab_kiter.json");
 }

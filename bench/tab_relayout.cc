@@ -1,7 +1,7 @@
 /**
  * @file
- * Continuous reoptimization table (docs/OPT.md), emitted as
- * BENCH_PR9.json: the paper's Figures 10-11 run *live*. A
+ * Continuous reoptimization table (docs/OPT.md): the paper's Figures
+ * 10-11 run *live*. A
  * phase-shifting workload executes under five layout policies:
  *
  *   - none        no profile; every branch keeps the built-in
@@ -35,7 +35,7 @@
  * adaptation *cost* — recompiles and their cycles — is reported
  * separately instead of blurring the layout effect.
  *
- * Usage: tab_relayout [output.json]   (default BENCH_PR9.json)
+ * Usage: tab_relayout [output.json]   (default tab_relayout.json)
  * PEP_BENCH_SCALE scales the iteration count.
  */
 
@@ -49,6 +49,8 @@
 #include <vector>
 
 #include "bytecode/assembler.hh"
+#include "common/harness.hh"
+#include "common/report.hh"
 #include "bytecode/cfg_builder.hh"
 #include "opt/pipeline.hh"
 #include "opt/profile_consumer.hh"
@@ -73,12 +75,7 @@ struct Shape
 Shape
 benchShape()
 {
-    double scale = 1.0;
-    if (const char *env = std::getenv("PEP_BENCH_SCALE")) {
-        const double parsed = std::atof(env);
-        if (parsed > 0.0 && parsed <= 1.0)
-            scale = parsed;
-    }
+    const double scale = bench::benchScale();
     Shape shape;
     shape.total = std::max<std::uint32_t>(
         8, static_cast<std::uint32_t>(60.0 * scale));
@@ -412,8 +409,6 @@ sameObservables(const PolicyResult &a, const PolicyResult &b)
 int
 main(int argc, char **argv)
 {
-    const std::string json_path =
-        argc > 1 ? argv[1] : "BENCH_PR9.json";
     const Shape shape = benchShape();
     const bytecode::Program program = phasedProgram(shape);
 
@@ -467,28 +462,21 @@ main(int argc, char **argv)
                 "(docs/OPT.md)\n\n%s\n",
                 table.str().c_str());
 
-    int failures = 0;
-    const auto gate = [&](bool ok, const char *what) {
-        if (!ok) {
-            std::fprintf(stderr, "tab_relayout: GATE FAILED: %s\n",
-                         what);
-            ++failures;
-        }
-    };
+    bench::Report report("tab_relayout");
 
     // Gate 1: layout is a performance plan, never semantics.
     for (std::size_t p = 1; p < std::size(policies); ++p)
-        gate(sameObservables(results[0], results[p]),
-             "policies diverge in observable behaviour");
+        report.check(sameObservables(results[0], results[p]),
+                     "policies diverge in observable behaviour");
     const PolicyResult threaded =
         runPolicy(Policy::Continuous, program, shape,
                   vm::EngineKind::Threaded, phaseA, phaseB);
-    gate(sameObservables(continuous, threaded),
-         "engines diverge under continuous reoptimization");
+    report.check(sameObservables(continuous, threaded),
+                 "engines diverge under continuous reoptimization");
 
     // Gate 2: a correct profile wins.
-    gate(perfect.totalExec() < none.totalExec(),
-         "perfect does not beat none");
+    report.check(perfect.totalExec() < none.totalExec(),
+                 "perfect does not beat none");
 
     // Gate 3: continuous recovers >= 80% of perfect's win. The
     // driver's adaptation lag is a fixed few epochs (warm-up plus the
@@ -502,63 +490,53 @@ main(int argc, char **argv)
         static_cast<double>(none.totalExec()) -
         static_cast<double>(continuous.totalExec());
     if (shape.total >= 40) {
-        gate(perfect_win > 0 && continuous_win >= 0.8 * perfect_win,
-             "continuous recovers < 80% of perfect's win");
+        report.check(perfect_win > 0 && continuous_win >= 0.8 * perfect_win,
+                     "continuous recovers < 80% of perfect's win");
     } else {
-        gate(perfect_win > 0 && continuous_win > 0,
-             "continuous does not beat none");
+        report.check(perfect_win > 0 && continuous_win > 0,
+                     "continuous does not beat none");
     }
 
     // Gate 4: the one-time profile goes stale at the shift.
-    gate(onetime.phaseBExec > onetime.phaseAExec,
-         "one-time did not degrade after the phase shift");
-    gate(onetime.phaseBExec > continuous.phaseBExec,
-         "one-time is not worse than continuous after the shift");
-    gate(onetime.totalExec() > continuous.totalExec(),
-         "one-time is not worse than continuous overall");
+    report.check(onetime.phaseBExec > onetime.phaseAExec,
+                 "one-time did not degrade after the phase shift");
+    report.check(onetime.phaseBExec > continuous.phaseBExec,
+                 "one-time is not worse than continuous after the shift");
+    report.check(onetime.totalExec() > continuous.totalExec(),
+                 "one-time is not worse than continuous overall");
 
     // Gate 5: a maximally wrong profile is strictly the worst.
     for (std::size_t p = 0; p + 1 < std::size(policies); ++p)
-        gate(flipped.totalExec() > results[p].totalExec(),
-             "flipped is not strictly the worst policy");
+        report.check(flipped.totalExec() > results[p].totalExec(),
+                     "flipped is not strictly the worst policy");
 
-    FILE *json = std::fopen(json_path.c_str(), "w");
-    if (json == nullptr) {
-        std::fprintf(stderr, "tab_relayout: cannot write %s\n",
-                     json_path.c_str());
-        return 1;
-    }
-    std::fprintf(json,
-                 "{\n  \"iterations\": %u,\n  \"phase_split\": %u,\n"
-                 "  \"inner_loop\": %u,\n  \"policies\": [\n",
-                 shape.total, shape.split, shape.inner);
+    report.set("iterations", shape.total, "count");
+    report.set("phase_split", shape.split, "count");
+    report.set("inner_loop", shape.inner, "count");
     for (std::size_t p = 0; p < std::size(policies); ++p) {
         const PolicyResult &r = results[p];
-        std::fprintf(
-            json,
-            "    {\"policy\": \"%s\", \"phase_a_cycles\": %llu, "
-            "\"phase_b_cycles\": %llu, \"total_cycles\": %llu, "
-            "\"layout_misses\": %llu, \"recompiles\": %llu, "
-            "\"clones\": %llu, \"compile_cycles\": %llu}%s\n",
-            policyName(policies[p]),
-            static_cast<unsigned long long>(r.phaseAExec),
-            static_cast<unsigned long long>(r.phaseBExec),
-            static_cast<unsigned long long>(r.totalExec()),
-            static_cast<unsigned long long>(r.layoutMisses),
-            static_cast<unsigned long long>(r.recompiles),
-            static_cast<unsigned long long>(r.clones),
-            static_cast<unsigned long long>(r.compileCycles),
-            p + 1 < std::size(policies) ? "," : "");
+        const std::string prefix =
+            std::string("policies.") + policyName(policies[p]) + ".";
+        report.set(prefix + "phase_a_cycles",
+                   static_cast<double>(r.phaseAExec), "count");
+        report.set(prefix + "phase_b_cycles",
+                   static_cast<double>(r.phaseBExec), "count");
+        report.set(prefix + "total_cycles",
+                   static_cast<double>(r.totalExec()), "count");
+        report.set(prefix + "layout_misses",
+                   static_cast<double>(r.layoutMisses), "count");
+        report.set(prefix + "recompiles",
+                   static_cast<double>(r.recompiles), "count");
+        report.set(prefix + "clones", static_cast<double>(r.clones),
+                   "count");
+        report.set(prefix + "compile_cycles",
+                   static_cast<double>(r.compileCycles), "count");
     }
     const double recovery =
         perfect_win > 0 ? continuous_win / perfect_win : 0.0;
-    std::fprintf(json,
-                 "  ],\n  \"continuous_recovery\": %.4f,\n"
-                 "  \"gates_failed\": %d\n}\n",
-                 recovery, failures);
-    std::fclose(json);
+    report.set("continuous_recovery", recovery, "ratio");
     std::printf("tab_relayout: continuous recovered %.1f%% of "
-                "perfect's win; results in %s\n",
-                100.0 * recovery, json_path.c_str());
-    return failures == 0 ? 0 : 1;
+                "perfect's win\n",
+                100.0 * recovery);
+    return report.write(argc > 1 ? argv[1] : "tab_relayout.json");
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Sample-transport table: the SPSC ring pipeline under sustained load,
- * emitted as BENCH_PR7.json. Four measurements:
+ * Sample-transport table: the SPSC ring pipeline under sustained load.
+ * Four measurements:
  *
  *   1. sustained run — a million-request stream (PEP_BENCH_SCALE
  *      scales it down) sharded over >= 16 OS workers recording through
@@ -19,7 +19,7 @@
  *      cannot fill, the ring totals must match mutex (and sharded)
  *      count for count; divergence is a hard failure.
  *
- * Usage: tab_transport [output.json]   (default BENCH_PR7.json)
+ * Usage: tab_transport [output.json]   (default tab_transport.json)
  * PEP_BENCH_SCALE scales the request counts.
  */
 
@@ -33,24 +33,13 @@
 #include <vector>
 
 #include "common/harness.hh"
+#include "common/report.hh"
 #include "runtime/request_stream.hh"
 #include "runtime/throughput.hh"
 
 using namespace pep;
 
 namespace {
-
-double
-benchScale()
-{
-    double scale = 1.0;
-    if (const char *env = std::getenv("PEP_BENCH_SCALE")) {
-        scale = std::atof(env);
-        if (scale <= 0.0 || scale > 1.0)
-            scale = 1.0;
-    }
-    return scale;
-}
 
 /** Peak resident set (VmHWM) in kB; 0 where /proc is unavailable.
  *  The peak — not the current RSS — is what a leaky transport moves. */
@@ -84,23 +73,12 @@ edgesIdentical(const profile::EdgeProfileSet &a,
     return true;
 }
 
-struct SweepRow
-{
-    std::uint32_t capacity = 0;
-    double requestsPerSecond = 0.0;
-    double dropRate = 0.0;
-    std::uint64_t consumed = 0;
-    double stalenessEpochs = 0.0;
-};
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const std::string json_path =
-        argc > 1 ? argv[1] : "BENCH_PR7.json";
-    const double scale = benchScale();
+    const double scale = bench::benchScale();
 
     const std::uint32_t workers = std::max<std::uint32_t>(
         16, std::thread::hardware_concurrency());
@@ -124,23 +102,17 @@ main(int argc, char **argv)
     options.ring.capacity = 1u << 14;
     options.ring.windowDecay = 0.5;
 
-    bool ok = true;
+    bench::Report report("tab_transport");
     const auto checkConservation =
-        [&ok](const runtime::ThroughputResult &result,
-              const char *label) {
-            if (result.transport.produced !=
-                result.transport.consumed + result.transport.dropped) {
-                std::printf("  %s: conservation VIOLATED — produced "
-                            "%llu != consumed %llu + dropped %llu\n",
-                            label,
-                            static_cast<unsigned long long>(
-                                result.transport.produced),
-                            static_cast<unsigned long long>(
-                                result.transport.consumed),
-                            static_cast<unsigned long long>(
-                                result.transport.dropped));
-                ok = false;
-            }
+        [&report](const runtime::ThroughputResult &result,
+                  const std::string &label) {
+            const runtime::RingTransportStats &t = result.transport;
+            report.check(t.produced == t.consumed + t.dropped,
+                         label + ": produced " +
+                             std::to_string(t.produced) +
+                             " != consumed " +
+                             std::to_string(t.consumed) +
+                             " + dropped " + std::to_string(t.dropped));
         };
 
     // ---- sustained run ----------------------------------------------
@@ -164,26 +136,56 @@ main(int argc, char **argv)
     const runtime::ThroughputResult sustained =
         runtime::runThroughput(stream, options);
     const std::uint64_t rss_after_kb = peakRssKb();
-    const std::int64_t rss_growth_kb =
-        static_cast<std::int64_t>(rss_after_kb) -
-        static_cast<std::int64_t>(rss_warm_kb);
+    const double rss_growth_kb = static_cast<double>(rss_after_kb) -
+                                 static_cast<double>(rss_warm_kb);
     checkConservation(sustained, "sustained");
-    if (sustained.requestsCompleted != sustained_requests) {
-        std::printf("  sustained: completed %llu of %u requests\n",
-                    static_cast<unsigned long long>(
-                        sustained.requestsCompleted),
-                    sustained_requests);
-        ok = false;
-    }
+    report.check(sustained.requestsCompleted == sustained_requests,
+                 "sustained: completed " +
+                     std::to_string(sustained.requestsCompleted) +
+                     " of " + std::to_string(sustained_requests) +
+                     " requests");
     std::printf("  sustained: %9.0f req/s  drop-rate %.4f%%  "
                 "staleness %.3f epochs  rss %llu -> %llu kB "
-                "(%+lld kB)\n",
+                "(%+.0f kB)\n",
                 sustained.requestsPerSecond,
                 100.0 * sustained.transport.dropRate(),
                 sustained.windowStalenessEpochs,
                 static_cast<unsigned long long>(rss_warm_kb),
                 static_cast<unsigned long long>(rss_after_kb),
-                static_cast<long long>(rss_growth_kb));
+                rss_growth_kb);
+    report.set("sustained.workers", workers, "count");
+    report.set("sustained.requests", sustained_requests, "count");
+    report.set("sustained.ring_capacity", options.ring.capacity,
+               "count");
+    report.set("sustained.window_decay", options.ring.windowDecay,
+               "ratio");
+    report.set("sustained.wall_seconds", sustained.wallSeconds, "s");
+    report.set("sustained.requests_per_sec",
+               sustained.requestsPerSecond, "1/s");
+    report.set("sustained.produced",
+               static_cast<double>(sustained.transport.produced),
+               "count");
+    report.set("sustained.consumed",
+               static_cast<double>(sustained.transport.consumed),
+               "count");
+    report.set("sustained.dropped",
+               static_cast<double>(sustained.transport.dropped),
+               "count");
+    report.set("sustained.drop_rate", sustained.transport.dropRate(),
+               "ratio");
+    report.set("sustained.epoch_marks",
+               static_cast<double>(sustained.transport.epochMarks),
+               "count");
+    report.set("sustained.window_advances",
+               static_cast<double>(sustained.windowAdvances), "count");
+    report.set("sustained.window_staleness_epochs",
+               sustained.windowStalenessEpochs, "epochs");
+    report.set("sustained.window_mass", sustained.windowMass, "count");
+    report.set("sustained.peak_rss_warm_kb",
+               static_cast<double>(rss_warm_kb), "kB");
+    report.set("sustained.peak_rss_after_kb",
+               static_cast<double>(rss_after_kb), "kB");
+    report.set("sustained.peak_rss_growth_kb", rss_growth_kb, "kB");
 
     // ---- drop rate vs ring capacity ---------------------------------
     const std::uint32_t sweep_capacities[] = {
@@ -192,7 +194,6 @@ main(int argc, char **argv)
     sweep_spec.requests = std::max<std::uint32_t>(
         2048, sustained_requests / 8);
     const runtime::RequestStream sweep_stream(sweep_spec);
-    std::vector<SweepRow> sweep;
     std::printf("tab_transport: capacity sweep (%u requests)...\n",
                 sweep_spec.requests);
     for (const std::uint32_t capacity : sweep_capacities) {
@@ -200,16 +201,20 @@ main(int argc, char **argv)
         const runtime::ThroughputResult result =
             runtime::runThroughput(sweep_stream, options);
         checkConservation(result, "sweep");
-        SweepRow row;
-        row.capacity = capacity;
-        row.requestsPerSecond = result.requestsPerSecond;
-        row.dropRate = result.transport.dropRate();
-        row.consumed = result.transport.consumed;
-        row.stalenessEpochs = result.windowStalenessEpochs;
-        sweep.push_back(row);
         std::printf("  capacity %6u  %9.0f req/s  drop-rate %7.4f%%\n",
-                    capacity, row.requestsPerSecond,
-                    100.0 * row.dropRate);
+                    capacity, result.requestsPerSecond,
+                    100.0 * result.transport.dropRate());
+        const std::string prefix =
+            "capacity_sweep.c" + std::to_string(capacity) + ".";
+        report.set(prefix + "requests_per_sec",
+                   result.requestsPerSecond, "1/s");
+        report.set(prefix + "drop_rate", result.transport.dropRate(),
+                   "ratio");
+        report.set(prefix + "consumed",
+                   static_cast<double>(result.transport.consumed),
+                   "count");
+        report.set(prefix + "window_staleness_epochs",
+                   result.windowStalenessEpochs, "epochs");
     }
     options.ring.capacity = 1u << 14;
 
@@ -235,6 +240,14 @@ main(int argc, char **argv)
                 "mutex %9.0f req/s\n",
                 ring_agg.requestsPerSecond, sharded.requestsPerSecond,
                 mutex_global.requestsPerSecond);
+    report.set("aggregation.ring_requests_per_sec",
+               ring_agg.requestsPerSecond, "1/s");
+    report.set("aggregation.sharded_requests_per_sec",
+               sharded.requestsPerSecond, "1/s");
+    report.set("aggregation.mutex_requests_per_sec",
+               mutex_global.requestsPerSecond, "1/s");
+    report.set("aggregation.ring_drop_rate",
+               ring_agg.transport.dropRate(), "ratio");
 
     // ---- drop-free identity -----------------------------------------
     // Small enough that each worker's whole record volume fits in the
@@ -273,96 +286,14 @@ main(int argc, char **argv)
                     id_ring.transport.dropped),
                 ring_matches ? "matches mutex" : "DIVERGES",
                 sharded_matches ? "matches mutex" : "DIVERGES");
-    if (!drop_free || !ring_matches || !sharded_matches)
-        ok = false;
+    report.set("identity.requests", id_spec.requests, "count");
+    report.set("identity.ring_dropped",
+               static_cast<double>(id_ring.transport.dropped), "count");
+    report.check(drop_free, "identity: the ample ring dropped records");
+    report.check(ring_matches,
+                 "identity: ring profiles differ from mutex");
+    report.check(sharded_matches,
+                 "identity: sharded profiles differ from mutex");
 
-    // ---- JSON -------------------------------------------------------
-    FILE *json = std::fopen(json_path.c_str(), "w");
-    if (!json) {
-        std::fprintf(stderr, "tab_transport: cannot write %s\n",
-                     json_path.c_str());
-        return 1;
-    }
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"sustained\": {\n");
-    std::fprintf(json, "    \"workers\": %u,\n", workers);
-    std::fprintf(json, "    \"requests\": %u,\n", sustained_requests);
-    std::fprintf(json, "    \"ring_capacity\": %u,\n", 1u << 14);
-    std::fprintf(json, "    \"window_decay\": %.2f,\n",
-                 options.ring.windowDecay);
-    std::fprintf(json, "    \"wall_seconds\": %.6f,\n",
-                 sustained.wallSeconds);
-    std::fprintf(json, "    \"requests_per_sec\": %.1f,\n",
-                 sustained.requestsPerSecond);
-    std::fprintf(json, "    \"produced\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     sustained.transport.produced));
-    std::fprintf(json, "    \"consumed\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     sustained.transport.consumed));
-    std::fprintf(json, "    \"dropped\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     sustained.transport.dropped));
-    std::fprintf(json, "    \"drop_rate\": %.6f,\n",
-                 sustained.transport.dropRate());
-    std::fprintf(json, "    \"epoch_marks\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     sustained.transport.epochMarks));
-    std::fprintf(json, "    \"window_advances\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     sustained.windowAdvances));
-    std::fprintf(json, "    \"window_staleness_epochs\": %.6f,\n",
-                 sustained.windowStalenessEpochs);
-    std::fprintf(json, "    \"window_mass\": %.1f,\n",
-                 sustained.windowMass);
-    std::fprintf(json, "    \"peak_rss_warm_kb\": %llu,\n",
-                 static_cast<unsigned long long>(rss_warm_kb));
-    std::fprintf(json, "    \"peak_rss_after_kb\": %llu,\n",
-                 static_cast<unsigned long long>(rss_after_kb));
-    std::fprintf(json, "    \"peak_rss_growth_kb\": %lld\n",
-                 static_cast<long long>(rss_growth_kb));
-    std::fprintf(json, "  },\n");
-    std::fprintf(json, "  \"capacity_sweep\": [\n");
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-        const SweepRow &row = sweep[i];
-        std::fprintf(json,
-                     "    {\"capacity\": %u, "
-                     "\"requests_per_sec\": %.1f, "
-                     "\"drop_rate\": %.6f, "
-                     "\"consumed\": %llu, "
-                     "\"window_staleness_epochs\": %.6f}%s\n",
-                     row.capacity, row.requestsPerSecond, row.dropRate,
-                     static_cast<unsigned long long>(row.consumed),
-                     row.stalenessEpochs,
-                     i + 1 < sweep.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n");
-    std::fprintf(json, "  \"aggregation\": {\n");
-    std::fprintf(json, "    \"workers\": %u,\n", workers);
-    std::fprintf(json, "    \"ring_requests_per_sec\": %.1f,\n",
-                 ring_agg.requestsPerSecond);
-    std::fprintf(json, "    \"sharded_requests_per_sec\": %.1f,\n",
-                 sharded.requestsPerSecond);
-    std::fprintf(json, "    \"mutex_requests_per_sec\": %.1f,\n",
-                 mutex_global.requestsPerSecond);
-    std::fprintf(json, "    \"ring_drop_rate\": %.6f\n",
-                 ring_agg.transport.dropRate());
-    std::fprintf(json, "  },\n");
-    std::fprintf(json, "  \"identity\": {\n");
-    std::fprintf(json, "    \"requests\": %u,\n", id_spec.requests);
-    std::fprintf(json, "    \"ring_dropped\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     id_ring.transport.dropped));
-    std::fprintf(json, "    \"ring_matches_mutex\": %s,\n",
-                 ring_matches ? "true" : "false");
-    std::fprintf(json, "    \"sharded_matches_mutex\": %s\n",
-                 sharded_matches ? "true" : "false");
-    std::fprintf(json, "  },\n");
-    std::fprintf(json, "  \"conservation_ok\": %s\n",
-                 ok ? "true" : "false");
-    std::fprintf(json, "}\n");
-    std::fclose(json);
-    std::printf("tab_transport: wrote %s\n", json_path.c_str());
-
-    return ok ? 0 : 1;
+    return report.write(argc > 1 ? argv[1] : "tab_transport.json");
 }
