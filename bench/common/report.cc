@@ -1,6 +1,5 @@
 #include "common/report.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -27,15 +26,6 @@ namespace {
 /** Version of the document layout below. */
 constexpr const char *kSchema = "pep-bench-report/1";
 
-double
-medianOf(std::vector<double> values)
-{
-    std::sort(values.begin(), values.end());
-    const std::size_t n = values.size();
-    return n % 2 ? values[n / 2]
-                 : 0.5 * (values[n / 2 - 1] + values[n / 2]);
-}
-
 std::string
 jsonNumber(double value)
 {
@@ -47,21 +37,6 @@ jsonNumber(double value)
 }
 
 } // namespace
-
-SampleStats
-sampleStats(std::vector<double> values)
-{
-    SampleStats stats;
-    stats.n = values.size();
-    if (values.empty())
-        return stats;
-    stats.median = medianOf(values);
-    stats.min = *std::min_element(values.begin(), values.end());
-    for (double &v : values)
-        v = std::fabs(v - stats.median);
-    stats.mad = medianOf(std::move(values));
-    return stats;
-}
 
 std::string
 jsonString(const std::string &text)
@@ -88,16 +63,7 @@ void
 Report::set(const std::string &name, double value,
             const std::string &unit)
 {
-    metrics_[name] = Metric{value, unit, {}};
-}
-
-void
-Report::samples(const std::string &name,
-                const std::vector<double> &values,
-                const std::string &unit)
-{
-    const SampleStats stats = sampleStats(values);
-    metrics_[name] = Metric{stats.median, unit, stats};
+    metrics_[name] = Metric{value, unit};
 }
 
 bool
@@ -136,13 +102,7 @@ Report::json() const
         first = false;
         out += jsonString(name) + ": {\"value\": " +
                jsonNumber(metric.value) +
-               ", \"unit\": " + jsonString(metric.unit);
-        if (metric.stats.n > 0) {
-            out += ", \"n\": " + std::to_string(metric.stats.n) +
-                   ", \"min\": " + jsonNumber(metric.stats.min) +
-                   ", \"mad\": " + jsonNumber(metric.stats.mad);
-        }
-        out += "}";
+               ", \"unit\": " + jsonString(metric.unit) + "}";
     }
     return out + "\n  }\n}\n";
 }

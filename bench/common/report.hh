@@ -16,26 +16,11 @@
  * ("coop.k4.overhead"). Non-finite values are written as null.
  */
 
-#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace pep::bench {
-
-/** Order statistics of a repeated measurement. */
-struct SampleStats
-{
-    std::size_t n = 0;
-    double median = 0.0;
-    double min = 0.0;
-    /** Median absolute deviation from the median. */
-    double mad = 0.0;
-};
-
-/** Median, minimum and MAD of `values` (all zero when empty). */
-SampleStats sampleStats(std::vector<double> values);
 
 /** JSON string literal for `text`. */
 std::string jsonString(const std::string &text);
@@ -49,12 +34,6 @@ class Report
     /** Record one value. */
     void set(const std::string &name, double value,
              const std::string &unit);
-
-    /** Record a repeated measurement: its median is the value, and
-     *  n, min and MAD ride along. */
-    void samples(const std::string &name,
-                 const std::vector<double> &values,
-                 const std::string &unit);
 
     /** Count one checked gate; report and count a failure if !ok.
      *  Returns ok. */
@@ -76,8 +55,6 @@ class Report
     {
         double value = 0.0;
         std::string unit;
-        /** Empty (n == 0) except for samples() entries. */
-        SampleStats stats;
     };
 
     std::string binary_;

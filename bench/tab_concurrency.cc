@@ -14,7 +14,10 @@
  *      contract of docs/RUNTIME.md);
  *   2. throughput worker scaling — the same stream sharded over
  *      1..N OS worker threads with the sharded, cache-line-padded
- *      aggregator: requests/second per worker count.
+ *      aggregator: path records and edge counts per worker count.
+ *      Counts only: one run of a few milliseconds per cell is too
+ *      short to time; perfbench's `runtime.sharded_req_per_s` rung
+ *      times the sharded transport with interleaved repeats.
  *
  * The aggregation strategies (sharded, mutex, ring) are compared, and
  * checked count for count against each other, by tab_transport.
@@ -228,13 +231,12 @@ main(int argc, char **argv)
         t_options.workers = w;
         const runtime::ThroughputResult r =
             runtime::runThroughput(stream, t_options);
-        std::printf("  workers=%u  %9.0f req/s  (%.4f s wall)\n", w,
-                    r.requestsPerSecond, r.wallSeconds);
+        std::printf("  workers=%u  %llu path records  %llu edges\n", w,
+                    static_cast<unsigned long long>(r.pathRecords),
+                    static_cast<unsigned long long>(
+                        r.edges.totalCount()));
         const std::string prefix =
             "scaling.w" + std::to_string(w) + ".";
-        report.set(prefix + "wall_seconds", r.wallSeconds, "s");
-        report.set(prefix + "requests_per_sec", r.requestsPerSecond,
-                   "1/s");
         report.set(prefix + "path_records",
                    static_cast<double>(r.pathRecords), "count");
         report.set(prefix + "edge_count",

@@ -4,11 +4,11 @@
 # 1. The bench tables, each written by the shared reporter
 #    (bench/common/report.hh: correct/attempted/failed, dotted metrics,
 #    schema and host/build meta): perf_suite (serial vs parallel suite
-#    runs), tab_concurrency (cooperative scaling and worker scaling),
-#    tab_transport (the SPSC ring under sustained load, capacity sweep,
-#    aggregation comparison, drop-free identity), tab_kiter (k-BLPP
-#    windows) and tab_fusion (fused template streams and the engine x
-#    fusion identity gate). Each exits nonzero when one of its
+#    runs), tab_concurrency (cooperative scaling and worker-scaling
+#    counts), tab_transport (the SPSC ring's drop accounting under
+#    sustained load and per capacity, drop-free identity), tab_kiter
+#    (k-BLPP windows) and tab_fusion (fused template streams and the
+#    engine x fusion identity gate). Each exits nonzero when one of its
 #    deterministic gates fails.
 # 2. The wall-clock gates, judged on perfbench's interleaved ablation
 #    ladder (perfbench/README.md) over the replay suite, seeds 1 and 2,

@@ -75,10 +75,10 @@ checkOnePlan(const bytecode::Method &method,
 /**
  * Check 9: translate the method for the threaded engine exactly as
  * Machine::decodedFor would (full-opt costs, no layout information)
- * and prove the template stream consistent with the canonical plan's
- * flattened tables. The plan's edgeBase is structural — identical
- * across every (mode, scheme, placement) built above — so one
- * representative plan suffices.
+ * and prove the template stream consistent with the CFG's edge
+ * numbering and the canonical plan's edge table. The numbering belongs
+ * to the CFG — identical across every (mode, scheme, placement) built
+ * above — so one representative plan suffices.
  */
 void
 checkTemplates(const bytecode::Method &method,

@@ -16,7 +16,7 @@
  *     would and statically checked — both DAG modes, Direct and
  *     spanning-tree placement, Ball-Larus and smart numbering — and
  *     the method is translated for the threaded execution engine and
- *     its template stream checked against the plan's flattened tables
+ *     its template stream checked against the CFG's edge numbering
  *     (plan-checker check 9, docs/ENGINE.md).
  */
 

@@ -40,6 +40,10 @@ class Checker
         const std::size_t before = diags_.errorCount();
         if (!checkStructure())
             return diags_.errorCount() == before;
+        // Every later check reads the plan's table by the CFG's dense
+        // edge ids, so the numbering is proved first.
+        if (!checkEdgeNumbering())
+            return diags_.errorCount() == before;
 
         if (in_.numbering->overflow) {
             note("numbering overflowed (more than 2^50 paths); "
@@ -47,14 +51,12 @@ class Checker
             if (in_.plan->enabled) {
                 error("plan is enabled despite numbering overflow");
             }
-            checkFlattenedTables();
             return diags_.errorCount() == before;
         }
 
         checkNumberingIntervals();
         checkRegisterBounds();
         checkPlanConsistency();
-        checkFlattenedTables();
         if (in_.placement == PlacementKind::SpanningTree)
             checkChordOnly();
         if (in_.scheme == profile::NumberingScheme::Smart &&
@@ -292,9 +294,8 @@ class Checker
             error("plan totalPaths disagrees with numbering");
         if (plan.mode != pdag.mode)
             error("plan mode disagrees with P-DAG mode");
-        if (plan.edgeActions.size() != graph.numBlocks() ||
-            plan.headerActions.size() != graph.numBlocks()) {
-            error("plan action tables have wrong arity");
+        if (plan.headerActions.size() != graph.numBlocks()) {
+            error("plan header table has wrong arity");
             return;
         }
 
@@ -309,14 +310,10 @@ class Checker
         std::size_t mismatches = 0;
         std::size_t instrumented = 0;
         for (cfg::BlockId b = 0; b < graph.numBlocks(); ++b) {
-            if (plan.edgeActions[b].size() != graph.succs(b).size()) {
-                error("plan edge actions have wrong arity");
-                return;
-            }
             for (std::uint32_t i = 0; i < graph.succs(b).size(); ++i) {
                 const cfg::EdgeRef cfg_edge{b, i};
                 const profile::EdgeAction &action =
-                    plan.edgeActions[b][i];
+                    plan.flatAction(cfg, cfg_edge);
                 const cfg::EdgeRef dag_edge =
                     pdag.dagEdgeForCfgEdge[b][i];
 
@@ -438,78 +435,49 @@ class Checker
         }
     }
 
-    // ---- check 8: flattened tables mirror the nested ones -------------
+    // ---- check 8: one dense edge numbering ---------------------------
 
     /**
-     * The interpreter executes the flattened mirror (flatEdgeActions
-     * indexed by edgeBase[src] + index), never the nested tables the
-     * builders and the checks above reason about. Prove the mirror is
-     * faithful: edgeBase must hold exact prefix sums of the CFG's
-     * successor counts, and every flattened action must equal its
-     * nested counterpart memberwise.
+     * The plan's only edge table is indexed by the CFG's dense edge
+     * ids, and so are the threaded engine's burned-in bases. Re-derive
+     * the numbering independently of buildCfg: edgeBase must hold
+     * exact prefix sums of the successor counts, and the plan must
+     * hold one action per edge.
      */
-    void
-    checkFlattenedTables()
+    bool
+    checkEdgeNumbering()
     {
-        const InstrumentationPlan &plan = *in_.plan;
-        const cfg::Graph &graph = in_.cfg->graph;
+        const bytecode::MethodCfg &cfg = *in_.cfg;
+        const cfg::Graph &graph = cfg.graph;
 
-        if (plan.edgeBase.size() != graph.numBlocks() + 1) {
-            error("flattened edgeBase has wrong arity");
-            return;
+        if (cfg.edgeBase.size() != graph.numBlocks() + 1) {
+            error("CFG edgeBase has wrong arity");
+            return false;
         }
         std::uint32_t expected_base = 0;
-        for (cfg::BlockId b = 0; b < graph.numBlocks(); ++b) {
-            if (plan.edgeBase[b] != expected_base) {
+        for (cfg::BlockId b = 0; b <= graph.numBlocks(); ++b) {
+            if (cfg.edgeBase[b] != expected_base) {
                 std::ostringstream os;
-                os << "edgeBase[" << b << "] is " << plan.edgeBase[b]
+                os << "edgeBase[" << b << "] is " << cfg.edgeBase[b]
                    << " but the prefix sum of successor counts is "
                    << expected_base;
                 error(os.str());
-                return;
+                return false;
             }
-            expected_base +=
-                static_cast<std::uint32_t>(graph.succs(b).size());
+            if (b < graph.numBlocks()) {
+                expected_base +=
+                    static_cast<std::uint32_t>(graph.succs(b).size());
+            }
         }
-        if (plan.edgeBase.back() != expected_base ||
-            plan.flatEdgeActions.size() != expected_base) {
+        if (in_.plan->flatEdgeActions.size() != expected_base) {
             std::ostringstream os;
-            os << "flattened table covers "
-               << plan.flatEdgeActions.size() << " edges (base "
-               << plan.edgeBase.back() << ") but the CFG has "
-               << expected_base;
+            os << "plan holds " << in_.plan->flatEdgeActions.size()
+               << " edge actions but the CFG has " << expected_base
+               << " edges";
             error(os.str());
-            return;
+            return false;
         }
-
-        if (plan.edgeActions.size() != graph.numBlocks()) {
-            error("plan action tables have wrong arity");
-            return;
-        }
-        std::size_t mismatches = 0;
-        for (cfg::BlockId b = 0; b < graph.numBlocks(); ++b) {
-            if (plan.edgeActions[b].size() != graph.succs(b).size()) {
-                error("plan edge actions have wrong arity");
-                return;
-            }
-            for (std::uint32_t i = 0; i < graph.succs(b).size(); ++i) {
-                const profile::EdgeAction &nested =
-                    plan.edgeActions[b][i];
-                const profile::EdgeAction &flat =
-                    plan.flatAction(cfg::EdgeRef{b, i});
-                if (flat.increment == nested.increment &&
-                    flat.endsPath == nested.endsPath &&
-                    flat.endAdd == nested.endAdd &&
-                    flat.restart == nested.restart) {
-                    continue;
-                }
-                if (!capped(mismatches)) {
-                    errorAtEdge(cfg::EdgeRef{b, i},
-                                "flattened action disagrees with the "
-                                "nested table (stale rebuildFlat?)");
-                }
-            }
-        }
+        return true;
     }
 
     // ---- check 5: chord-only placement --------------------------------
@@ -662,9 +630,7 @@ class Checker
                     for (const cfg::EdgeRef &back :
                          in_.cfg->backEdges) {
                         if (in_.cfg->graph.edgeDst(back) == header) {
-                            reg = plan
-                                      .edgeActions[back.src]
-                                                  [back.index]
+                            reg = plan.flatAction(*in_.cfg, back)
                                       .restart;
                             found = true;
                             break;
@@ -705,18 +671,14 @@ class Checker
                     }
                     const cfg::EdgeRef back = in_.cfg->backEdges[k];
                     result =
-                        reg +
-                        plan.edgeActions[back.src][back.index].endAdd;
+                        reg + plan.flatAction(*in_.cfg, back).endAdd;
                 }
                 return true;
               }
-              case DagEdgeKind::Real: {
-                const cfg::EdgeRef ce = meta.cfgEdge;
-                const profile::EdgeAction &action =
-                    plan.edgeActions[ce.src][ce.index];
-                reg += action.increment;
+              case DagEdgeKind::Real:
+                reg += plan.flatAction(*in_.cfg, meta.cfgEdge)
+                           .increment;
                 break;
-              }
             }
         }
         result = reg; // ended at method exit via real edges
@@ -850,28 +812,16 @@ checkTemplateStream(const TemplateCheckInput &in,
     const bytecode::Method &code = *in.code;
     const vm::CompiledMethod &cm = *dm.source;
 
-    // 9a. The structural flat-edge base burned into templates must be
-    // the plan's edgeBase, memberwise — this is what lets onEdgeFast
-    // index flatEdgeActions with `flatBase + successor` and skip the
-    // base lookup.
-    if (dm.edgeBase.size() != plan.edgeBase.size()) {
-        error("template edgeBase has wrong arity");
+    // 9a. Templates burn in bases of the CFG's dense edge numbering
+    // (check 8 proves it), and `flatBase + successor` must index the
+    // plan's table.
+    if (cfg.edgeBase.size() != cfg.graph.numBlocks() + 1) {
+        error("CFG edgeBase has wrong arity");
         return diagnostics.errorCount() == before;
     }
-    for (std::size_t b = 0; b < dm.edgeBase.size(); ++b) {
-        if (dm.edgeBase[b] != plan.edgeBase[b]) {
-            std::ostringstream os;
-            os << "template edgeBase[" << b << "] is "
-               << dm.edgeBase[b] << " but the plan's is "
-               << plan.edgeBase[b];
-            error(os.str());
-            return diagnostics.errorCount() == before;
-        }
-    }
-    if (plan.enabled &&
-        plan.flatEdgeActions.size() != dm.edgeBase.back()) {
+    if (plan.enabled && plan.flatEdgeActions.size() != cfg.numEdges()) {
         std::ostringstream os;
-        os << "templates address " << dm.edgeBase.back()
+        os << "templates address " << cfg.numEdges()
            << " flat edges but the plan holds "
            << plan.flatEdgeActions.size();
         error(os.str());
@@ -909,7 +859,7 @@ checkTemplateStream(const TemplateCheckInput &in,
                     t.op == static_cast<std::uint8_t>(code.code[pc].op);
         }
         if ((!op_ok || t.block != block ||
-             t.flatBase != dm.edgeBase[block] ||
+             t.flatBase != cfg.edgeBase[block] ||
              t.layout != cm.layoutFor(block)) &&
             !capped()) {
             std::ostringstream os;
@@ -946,8 +896,8 @@ checkTemplateStream(const TemplateCheckInput &in,
     for (const vm::Template &t : dm.stream) {
         const auto op = static_cast<bytecode::Opcode>(t.op);
         if (static_cast<std::size_t>(t.block) + 1 >=
-                dm.edgeBase.size() ||
-            t.flatBase != dm.edgeBase[t.block]) {
+                cfg.edgeBase.size() ||
+            t.flatBase != cfg.edgeBase[t.block]) {
             if (!capped()) {
                 std::ostringstream os;
                 os << "template at pc " << t.pc

@@ -29,19 +29,21 @@
  *     reconstructor; replaying the *plan's* register actions over each
  *     path must reproduce the path's Ball-Larus number, and the numbers
  *     must cover [0, totalPaths) exactly.
- *  8. Flattened-table fidelity: the contiguous flatEdgeActions mirror
- *     the interpreter executes agrees memberwise with the nested
- *     edgeActions the checks above reason about, and edgeBase holds
- *     exact prefix sums of the CFG's successor counts.
+ *  8. One edge numbering: the CFG's dense edge ids
+ *     (bytecode::MethodCfg::edgeBase) are exact prefix sums of its
+ *     successor counts, re-derived here independently of buildCfg,
+ *     and the plan's flatEdgeActions holds one action per edge. Run
+ *     first, since checks 4 and 7 read the plan through these ids —
+ *     so they reason about exactly the table the engines execute.
  *  9. Template-stream fidelity (checkTemplateStream, docs/ENGINE.md):
  *     the threaded engine's pre-decoded template stream agrees
- *     memberwise with the plan's flattened tables — the structural
- *     flat-edge base burned into every template equals the plan's
- *     edgeBase prefix sums (so `flatBase + successor` indexes
- *     flatEdgeActions exactly like `edgeBase[src] + index`), every pc
- *     maps to a template carrying its opcode, block and branch layout,
- *     control transfers resolve to their targets' templates, and the
- *     folded segment charges conserve the version's scaled costs.
+ *     memberwise with the CFG and the plan — the flat-edge base
+ *     burned into every template equals the CFG's edgeBase for its
+ *     block (so `flatBase + successor` is the edge's flatEdgeId),
+ *     every pc maps to a template carrying its opcode, block and
+ *     branch layout, control transfers resolve to their targets'
+ *     templates, and the folded segment charges conserve the
+ *     version's scaled costs.
  * 10. k-path id-space audit (checkKPathScheme, docs/KBLPP.md): a
  *     version's KPathScheme must be the arithmetically exact id space
  *     over its plan — base equals the enabled plan's totalPaths, the
@@ -142,10 +144,9 @@ struct TemplateCheckInput
 
 /**
  * Check 9: prove a translated template stream (vm/decoded_method.hh)
- * is memberwise-consistent with the plan's flattened tables. Static
- * counterpart of the fuzzer's engine cross-check, exactly as check 8
- * is the static counterpart of its flat/nested dispatch check.
- * Returns true if no errors were added.
+ * is memberwise-consistent with the CFG's edge numbering and the
+ * plan's edge table. Static counterpart of the fuzzer's engine
+ * cross-check. Returns true if no errors were added.
  */
 bool checkTemplateStream(const TemplateCheckInput &input,
                          DiagnosticList &diagnostics);

@@ -50,7 +50,6 @@ class EquivChecker
         const std::size_t before = diags_.errorCount();
         if (!checkStreamShape())
             return diags_.errorCount() == before;
-        checkEdgeBase();
         sumTemplateCharges();
         checkTraceShape();
         for (cfg::BlockId b = 0; b < cfg_.graph.numBlocks(); ++b) {
@@ -148,40 +147,6 @@ class EquivChecker
             }
         }
         return true;
-    }
-
-    /** Structural flat-edge bases: the stream's burned-in edgeBase must
-     *  be the CFG's successor-count prefix sums — the indices every
-     *  enabled plan's flatEdgeActions are laid out by. */
-    void
-    checkEdgeBase()
-    {
-        const cfg::Graph &graph = cfg_.graph;
-        refBase_.resize(graph.numBlocks() + 1);
-        std::uint32_t next = 0;
-        for (cfg::BlockId b = 0; b < graph.numBlocks(); ++b) {
-            refBase_[b] = next;
-            next += static_cast<std::uint32_t>(graph.succs(b).size());
-        }
-        refBase_.back() = next;
-
-        std::size_t mismatches = 0;
-        if (dm_.edgeBase.size() != refBase_.size()) {
-            std::ostringstream os;
-            os << "edgeBase has " << dm_.edgeBase.size()
-               << " entries, CFG implies " << refBase_.size();
-            error("edge-base", os.str());
-            return;
-        }
-        for (std::size_t b = 0; b < refBase_.size(); ++b) {
-            if (dm_.edgeBase[b] != refBase_[b] && !capped(mismatches)) {
-                std::ostringstream os;
-                os << "edgeBase[" << b << "] = " << dm_.edgeBase[b]
-                   << " but the CFG's successor prefix sum is "
-                   << refBase_[b];
-                error("edge-base", os.str());
-            }
-        }
     }
 
     // ---- per-block charge sums ---------------------------------------
@@ -420,7 +385,7 @@ class EquivChecker
             break;
           case TerminatorKind::Return: {
             ExitEffect e;
-            e.flatId = refBase_[b];
+            e.flatId = cfg_.flatEdgeId({b, 0});
             e.toExit = true;
             ref.push_back(e);
             break;
@@ -459,7 +424,7 @@ class EquivChecker
     refExit(cfg::BlockId b, std::uint32_t index, bytecode::Pc target)
     {
         ExitEffect e;
-        e.flatId = refBase_[b] + index;
+        e.flatId = cfg_.flatEdgeId({b, index});
         e.targetPc = target;
         e.headerEvent = target < in_.info->headerLeaderPc.size() &&
                         in_.info->headerLeaderPc[target];
@@ -718,7 +683,6 @@ class EquivChecker
     const vm::CompiledMethod &cm_;
     const vm::DecodedMethod &dm_;
 
-    std::vector<std::uint32_t> refBase_;
     std::vector<std::uint64_t> tplCost_;
     std::vector<std::uint64_t> tplNinstr_;
     std::vector<std::int64_t> fallEdgeTpl_;

@@ -20,9 +20,11 @@
  *    (a per-block strengthening of plan-checker check 9's global sum);
  *  - instruction counts: same, for the ninstr counter;
  *  - profile-counter effects: every block exit must fire the same CFG
- *    edge (src block, successor index) at the same dense flat id
- *    (`edgeBase[src] + index`), so every attached profiler's
- *    flatEdgeActions dispatch is identical under both engines;
+ *    edge (src block, successor index) at the same dense flat id —
+ *    the switch engine asks the CFG (`MethodCfg::flatEdgeId`), the
+ *    threaded engine adds the successor to its template's burned-in
+ *    `flatBase` — so every attached profiler's flatEdgeActions
+ *    dispatch is identical under both engines;
  *  - yieldpoint/header placement: an exit transfers into a loop-header
  *    leader pc on one side iff the template carries the corresponding
  *    header flag, so onLoopHeader hooks and LoopHeader yieldpoints

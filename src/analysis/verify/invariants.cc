@@ -30,23 +30,6 @@ reportError(DiagnosticList &diags, const char *check,
 }
 
 bool
-sameAction(const profile::EdgeAction &a, const profile::EdgeAction &b)
-{
-    return a.increment == b.increment && a.endsPath == b.endsPath &&
-           a.endAdd == b.endAdd && a.restart == b.restart;
-}
-
-std::string
-describeAction(const profile::EdgeAction &a)
-{
-    std::ostringstream os;
-    os << "{increment " << a.increment << ", endsPath "
-       << (a.endsPath ? "true" : "false") << ", endAdd " << a.endAdd
-       << ", restart " << a.restart << "}";
-    return os.str();
-}
-
-bool
 sameTemplate(const vm::Template &a, const vm::Template &b)
 {
     return a.op == b.op && a.flags == b.flags && a.sub == b.sub &&
@@ -98,8 +81,6 @@ firstStreamDiff(const vm::DecodedMethod &cached,
     }
     if (cached.pcToTemplate != fresh.pcToTemplate)
         return "pcToTemplate differs from a fresh translation";
-    if (cached.edgeBase != fresh.edgeBase)
-        return "edgeBase differs from a fresh translation";
     if (cached.switchCases.size() != fresh.switchCases.size())
         return "switchCases differs from a fresh translation";
     for (std::size_t i = 0; i < cached.switchCases.size(); ++i) {
@@ -116,53 +97,6 @@ firstStreamDiff(const vm::DecodedMethod &cached,
 }
 
 } // namespace
-
-bool
-auditPlanMirror(const profile::InstrumentationPlan &plan,
-                const std::string &method_name, bool has_version,
-                std::uint32_t version, DiagnosticList &diagnostics)
-{
-    const std::size_t before = diagnostics.errorCount();
-
-    // rebuildFlat is a pure function of edgeActions: re-derive on a
-    // copy and require the installed mirror to match memberwise.
-    profile::InstrumentationPlan derived = plan;
-    derived.rebuildFlat();
-
-    if (plan.edgeBase != derived.edgeBase) {
-        reportError(diagnostics, "flat-mirror", method_name,
-                    has_version, version,
-                    "plan edgeBase is not what rebuildFlat() derives "
-                    "from edgeActions (stale flat mirror)");
-        return false;
-    }
-    if (plan.flatEdgeActions.size() != derived.flatEdgeActions.size()) {
-        std::ostringstream os;
-        os << "plan holds " << plan.flatEdgeActions.size()
-           << " flat edge actions, rebuildFlat() derives "
-           << derived.flatEdgeActions.size();
-        reportError(diagnostics, "flat-mirror", method_name,
-                    has_version, version, os.str());
-        return false;
-    }
-    std::size_t findings = 0;
-    for (std::size_t i = 0; i < plan.flatEdgeActions.size(); ++i) {
-        if (sameAction(plan.flatEdgeActions[i],
-                       derived.flatEdgeActions[i]))
-            continue;
-        if (findings++ >= kMaxPerCategory)
-            break;
-        std::ostringstream os;
-        os << "flat action " << i << " is "
-           << describeAction(plan.flatEdgeActions[i])
-           << " but the nested edgeActions derive "
-           << describeAction(derived.flatEdgeActions[i])
-           << " (edgeActions mutated without rebuildFlat())";
-        reportError(diagnostics, "flat-mirror", method_name,
-                    has_version, version, os.str());
-    }
-    return diagnostics.errorCount() == before;
-}
 
 bool
 auditMachineDecoded(const vm::Machine &machine,

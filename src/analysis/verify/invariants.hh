@@ -4,28 +4,20 @@
 /**
  * @file
  * Pass 3 of pep-verify: invariant escape audits (docs/ANALYSIS.md).
- * Two repository invariants allow in-place mutation of installed state
- * only when a re-establishing call follows:
+ * The template rule allows in-place mutation of installed state only
+ * when a re-establishing call follows: the threaded engine's cached
+ * template streams bake in an installed version's branch layout,
+ * costs and flags, so any in-place version mutation
+ * (`Machine::versionForUpdate`) must be followed by
+ * `Machine::invalidateDecoded` (docs/ENGINE.md, enforced dynamically
+ * by the stale-template injection).
  *
- *  - the flat-mirror rule: `InstrumentationPlan::flatEdgeActions` /
- *    `edgeBase` are derived from the nested `edgeActions`; any nested
- *    mutation must be followed by `rebuildFlat()` before the plan is
- *    executed (PR-2, enforced dynamically by the differ's
- *    stale-flat/corrupt-flat injections);
- *  - the template rule: the threaded engine's cached template streams
- *    bake in an installed version's branch layout, costs and flags;
- *    any in-place version mutation (`Machine::versionForUpdate`) must
- *    be followed by `Machine::invalidateDecoded` (docs/ENGINE.md,
- *    enforced dynamically by the stale-template injection).
+ * These audits prove the *current* state discharges it:
  *
- * These audits prove the *current* state discharges both rules:
- *
- *  - auditPlanMirror re-derives the flat mirror from the nested
- *    actions and compares memberwise — a stale or corrupted mirror is
- *    caught without executing a single instruction;
  *  - auditMachineDecoded re-translates every version with a cached
  *    stream (translation is a pure function of the installed version)
- *    and compares memberwise — a stale stream is caught the same way;
+ *    and compares memberwise — a stale stream is caught without
+ *    executing a single instruction;
  *  - auditMutationJournal walks the machine's escape/sanitize journal
  *    and proves every `versionForUpdate` escape was followed by a
  *    matching `invalidateDecoded` — the conservative source-discipline
@@ -48,23 +40,12 @@
 #include <string>
 
 #include "analysis/diagnostics.hh"
-#include "profile/instr_plan.hh"
 
 namespace pep::vm {
 class Machine;
 }
 
 namespace pep::analysis {
-
-/**
- * Prove a plan's flattened mirror is exactly what rebuildFlat() would
- * derive from its nested edgeActions. Returns true if no errors were
- * added.
- */
-bool auditPlanMirror(const profile::InstrumentationPlan &plan,
-                     const std::string &method_name, bool has_version,
-                     std::uint32_t version,
-                     DiagnosticList &diagnostics);
 
 /**
  * Prove every cached template stream equals a fresh translation of its

@@ -123,7 +123,16 @@ buildCfg(const Method &method)
         }
     }
 
-    // Pass 5: loop analysis.
+    // Pass 5: dense edge numbering.
+    result.edgeBase.resize(graph.numBlocks() + 1);
+    std::uint32_t next_edge = 0;
+    for (cfg::BlockId b = 0; b < graph.numBlocks(); ++b) {
+        result.edgeBase[b] = next_edge;
+        next_edge += static_cast<std::uint32_t>(graph.succs(b).size());
+    }
+    result.edgeBase.back() = next_edge;
+
+    // Pass 6: loop analysis.
     const cfg::DfsResult dfs = cfg::depthFirstSearch(graph);
     const cfg::LoopInfo loops = cfg::findLoops(graph, dfs);
     result.isLoopHeader = loops.loopHeader;

@@ -16,6 +16,7 @@
  *    is the synthetic exit block).
  */
 
+#include <cstdint>
 #include <vector>
 
 #include "bytecode/method.hh"
@@ -59,6 +60,26 @@ struct MethodCfg
 
     /** True if the CFG is reducible. */
     bool reducible = true;
+
+    /**
+     * The method's one dense edge numbering: prefix sums of per-block
+     * successor counts (numBlocks + 1 entries, so the last entry is
+     * numEdges()). Edge (src, index) has id edgeBase[src] + index; it
+     * indexes InstrumentationPlan::flatEdgeActions, is burned into the
+     * threaded engine's templates (Template::flatBase), and is what
+     * ExecutionHooks::onEdge receives as `flat_id`.
+     */
+    std::vector<std::uint32_t> edgeBase;
+
+    /** Dense id of a CFG edge. */
+    std::uint32_t
+    flatEdgeId(cfg::EdgeRef edge) const
+    {
+        return edgeBase[edge.src] + edge.index;
+    }
+
+    /** Total number of CFG edges. */
+    std::uint32_t numEdges() const { return edgeBase.back(); }
 
     /** True for blocks that hold bytecode (not entry/exit). */
     bool

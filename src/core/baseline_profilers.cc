@@ -43,7 +43,8 @@ InstrEdgeProfiler::InstrEdgeProfiler(vm::Machine &machine,
 }
 
 void
-InstrEdgeProfiler::onEdge(const vm::FrameView &frame, cfg::EdgeRef edge)
+InstrEdgeProfiler::onEdge(const vm::FrameView &frame, cfg::EdgeRef edge,
+                          std::uint32_t /*flat_id*/)
 {
     // Instrument branches in optimized code only (the baseline
     // compiler already has its own edge instrumentation).

@@ -63,7 +63,8 @@ class InstrEdgeProfiler final : public vm::ExecutionHooks
     explicit InstrEdgeProfiler(vm::Machine &machine,
                                bool charge_costs = true);
 
-    void onEdge(const vm::FrameView &frame, cfg::EdgeRef edge) override;
+    void onEdge(const vm::FrameView &frame, cfg::EdgeRef edge,
+                std::uint32_t flat_id) override;
 
     const profile::EdgeProfileSet &edges() const { return edges_; }
 

@@ -223,43 +223,23 @@ PathEngine::onMethodExit(const vm::FrameView &frame)
 }
 
 void
-PathEngine::onEdge(const vm::FrameView &frame, cfg::EdgeRef edge)
+PathEngine::onEdge(const vm::FrameView &frame, cfg::EdgeRef edge,
+                   std::uint32_t flat_id)
 {
-    FrameState &fs = stacks_[frame.thread].back();
-    if (!fs.vp)
-        return;
-    // Hot path: one dense-id load from the flattened table via the
-    // pointers cached at entry/OSR.
-    applyEdgeAction(fs, fs.actions[fs.edgeBase[edge.src] + edge.index],
-                    frame.thread);
-}
-
-void
-PathEngine::onEdgeFast(const vm::FrameView &frame, cfg::EdgeRef edge,
-                       std::uint32_t flat_id)
-{
-    // The threaded engine's templates carry the dense edge id
-    // (structurally equal to edgeBase[src] + index — the plan checker's
-    // template check proves it), so the base lookup is fused away.
     (void)edge;
     FrameState &fs = stacks_[frame.thread].back();
     if (!fs.vp)
         return;
-    applyEdgeAction(fs, fs.actions[flat_id], frame.thread);
-}
-
-void
-PathEngine::applyEdgeAction(FrameState &fs,
-                            const profile::EdgeAction &action,
-                            std::uint32_t thread)
-{
+    // Hot path: one load from the plan's flat table, cached at
+    // entry/OSR.
+    const profile::EdgeAction &action = fs.actions[flat_id];
     if (action.endsPath) {
         // Truncated back edge (BackEdgeTruncate mode): the classic
         // BLPP count[r + endAdd]++ / r = restart pair.
         const vm::CostModel &cost = vm_.params().cost;
         if (action.endAdd != 0)
             charge(cost.pathRegAddCost);
-        segmentCompleted(fs, fs.reg + action.endAdd, thread);
+        segmentCompleted(fs, fs.reg + action.endAdd, frame.thread);
         fs.reg = action.restart;
         charge(cost.pathRegResetCost);
     } else if (action.increment != 0) {

@@ -114,9 +114,8 @@ class PathEngine : public vm::ExecutionHooks, public vm::CompileObserver
     // ExecutionHooks
     void onMethodEntry(const vm::FrameView &frame) override;
     void onMethodExit(const vm::FrameView &frame) override;
-    void onEdge(const vm::FrameView &frame, cfg::EdgeRef edge) override;
-    void onEdgeFast(const vm::FrameView &frame, cfg::EdgeRef edge,
-                    std::uint32_t flat_id) override;
+    void onEdge(const vm::FrameView &frame, cfg::EdgeRef edge,
+                std::uint32_t flat_id) override;
     void onLoopHeader(const vm::FrameView &frame,
                       cfg::BlockId block) override;
     void onOsr(const vm::FrameView &frame, cfg::BlockId header) override;
@@ -196,16 +195,15 @@ class PathEngine : public vm::ExecutionHooks, public vm::CompileObserver
 
   private:
     /**
-     * Per-frame profiling state. The action/base/header pointers cache
-     * the frame's enabled plan so the per-edge hot path is one dense
-     * array load instead of a nested-vector walk; they are rebound on
-     * entry and OSR and are null exactly when vp is null.
+     * Per-frame profiling state. The action/header pointers cache the
+     * frame's enabled plan so the per-edge hot path is one dense array
+     * load at the edge's flat id; they are rebound on entry and OSR
+     * and are null exactly when vp is null.
      */
     struct FrameState
     {
         VersionProfile *vp = nullptr;
         const profile::EdgeAction *actions = nullptr;
-        const std::uint32_t *edgeBase = nullptr;
         const profile::HeaderAction *headers = nullptr;
         std::uint64_t reg = 0;
 
@@ -222,16 +220,9 @@ class PathEngine : public vm::ExecutionHooks, public vm::CompileObserver
             const profile::InstrumentationPlan &plan =
                 profile.state->plan;
             actions = plan.flatEdgeActions.data();
-            edgeBase = plan.edgeBase.data();
             headers = plan.headerActions.data();
         }
     };
-
-    /** Shared tail of onEdge/onEdgeFast: execute one edge action
-     *  against the frame's path register. */
-    void applyEdgeAction(FrameState &fs,
-                         const profile::EdgeAction &action,
-                         std::uint32_t thread);
 
     /** One Ball-Larus segment completed: with kEffective == 1 this is
      *  pathCompleted verbatim; otherwise the number joins the frame's

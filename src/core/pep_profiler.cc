@@ -111,16 +111,9 @@ PepProfiler::recordEdges(const MethodProfilingState &state,
     // branch; update the shared original-method counters (Section
     // 4.3). Synthesized control flow has no original identity.
     for (const cfg::EdgeRef &edge : cfg_edges) {
-        const auto kind = inlined->info.cfg.terminator[edge.src];
-        if (kind != bytecode::TerminatorKind::Cond &&
-            kind != bytecode::TerminatorKind::Switch) {
-            continue;
-        }
-        const vm::BlockOrigin &origin = inlined->blockOrigin[edge.src];
-        if (!origin.valid())
-            continue;
-        edges_.perMethod[origin.method].addEdge(
-            cfg::EdgeRef{origin.block, edge.index});
+        const vm::OriginEdge origin = inlined->originEdge(edge);
+        if (origin.valid())
+            edges_.perMethod[origin.method].addEdge(origin.edge);
     }
 }
 

@@ -75,11 +75,6 @@ struct InstrumentationPlan
     /** Total acyclic paths in the method's P-DAG. */
     std::uint64_t totalPaths = 0;
 
-    /** Per CFG edge, parallel to CFG successor lists. This is the
-     *  build/analysis representation; the interpreter hot path reads
-     *  the flattened mirror below. */
-    std::vector<std::vector<EdgeAction>> edgeActions;
-
     /** Per CFG block; endsPath only for headers in HeaderSplit mode. */
     std::vector<HeaderAction> headerActions;
 
@@ -87,32 +82,27 @@ struct InstrumentationPlan
     std::size_t numInstrumentedEdges = 0;
 
     /**
-     * Flattened mirror of edgeActions: one contiguous array indexed by
-     * the dense edge id edgeBase[src] + index, where edgeBase holds
-     * prefix sums of per-block successor counts (numBlocks + 1 entries,
-     * so edgeBase.back() == total edge count). Derived purely from
-     * edgeActions by rebuildFlat(); anything that mutates edgeActions
-     * must call rebuildFlat() before the plan is executed.
+     * The plan's one edge table: the action of every CFG edge, indexed
+     * by the CFG's dense edge id (bytecode::MethodCfg::flatEdgeId, so
+     * it holds numEdges() entries). Builders and checkers read and
+     * write exactly the table the engines execute.
      */
     std::vector<EdgeAction> flatEdgeActions;
-    std::vector<std::uint32_t> edgeBase;
 
-    /** Dense id of a CFG edge in flatEdgeActions. */
-    std::uint32_t
-    flatEdgeId(cfg::EdgeRef edge) const
+    /** Action for a CFG edge of `method_cfg`, the CFG the plan was
+     *  built for. */
+    EdgeAction &
+    flatAction(const bytecode::MethodCfg &method_cfg, cfg::EdgeRef edge)
     {
-        return edgeBase[edge.src] + edge.index;
+        return flatEdgeActions[method_cfg.flatEdgeId(edge)];
     }
 
-    /** Action for a CFG edge, via the flattened table. */
     const EdgeAction &
-    flatAction(cfg::EdgeRef edge) const
+    flatAction(const bytecode::MethodCfg &method_cfg,
+               cfg::EdgeRef edge) const
     {
-        return flatEdgeActions[flatEdgeId(edge)];
+        return flatEdgeActions[method_cfg.flatEdgeId(edge)];
     }
-
-    /** Recompute edgeBase/flatEdgeActions from edgeActions. */
-    void rebuildFlat();
 };
 
 /** Build the runtime plan from a numbered P-DAG. */

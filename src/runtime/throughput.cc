@@ -72,17 +72,10 @@ class StreamRecorder final : public core::PathEngine
             return;
         }
         for (const cfg::EdgeRef &edge : cfg_edges) {
-            const auto kind = inlined->info.cfg.terminator[edge.src];
-            if (kind != bytecode::TerminatorKind::Cond &&
-                kind != bytecode::TerminatorKind::Switch) {
-                continue;
-            }
-            const vm::BlockOrigin &origin =
-                inlined->blockOrigin[edge.src];
+            const vm::OriginEdge origin = inlined->originEdge(edge);
             if (!origin.valid())
                 continue;
-            sink_.recordEdge(shard_, origin.method,
-                             cfg::EdgeRef{origin.block, edge.index});
+            sink_.recordEdge(shard_, origin.method, origin.edge);
             ++edgeRecords;
         }
     }

@@ -21,7 +21,6 @@
 #include "runtime/request_stream.hh"
 #include "runtime/throughput.hh"
 #include "support/panic.hh"
-#include "testing/nested_profiler.hh"
 #include "testing/oracle.hh"
 #include "vm/inliner.hh"
 #include "vm/machine.hh"
@@ -54,8 +53,7 @@ keyName(core::VersionKey key)
 /** Apply the configured fault to every not-yet-injected enabled plan
  *  of the full profiler. Idempotent per version. */
 void
-applyInjection(vm::Machine &machine, core::FullPathProfiler &full,
-               const DiffOptions &opts,
+applyInjection(core::FullPathProfiler &full, const DiffOptions &opts,
                std::set<core::VersionKey> &done)
 {
     for (auto &[key, vp] : full.versionProfiles()) {
@@ -67,24 +65,6 @@ applyInjection(vm::Machine &machine, core::FullPathProfiler &full,
         switch (opts.inject) {
           case InjectKind::None:
             break;
-          case InjectKind::StaleFlatAfterSpanning: {
-            if (opts.placement != profile::PlacementKind::SpanningTree)
-                break;
-            // Rebuild the plan the direct pass produced and keep *its*
-            // flat mirror, exactly what execution would read if
-            // applySpanningPlacement forgot rebuildFlat().
-            const vm::InlinedBody *inlined =
-                st.compiled ? st.compiled->inlinedBody.get() : nullptr;
-            const bytecode::MethodCfg &version_cfg =
-                inlined ? inlined->info.cfg
-                        : machine.info(key.first).cfg;
-            profile::InstrumentationPlan direct =
-                profile::buildInstrumentationPlan(version_cfg, st.pdag,
-                                                  st.numbering);
-            st.plan.flatEdgeActions =
-                std::move(direct.flatEdgeActions);
-            break;
-          }
           case InjectKind::CorruptFlatIncrement: {
             for (profile::EdgeAction &action :
                  st.plan.flatEdgeActions) {
@@ -613,19 +593,11 @@ serializePlan(const profile::InstrumentationPlan &plan)
     };
     os << static_cast<int>(plan.mode) << ' ' << plan.enabled << ' '
        << plan.totalPaths << ' ' << plan.numInstrumentedEdges << '\n';
-    for (const auto &per_block : plan.edgeActions) {
-        for (const profile::EdgeAction &a : per_block)
-            dump_action(a);
-        os << '\n';
-    }
     for (const profile::HeaderAction &h : plan.headerActions)
         os << h.endsPath << ',' << h.endAdd << ',' << h.restart << ' ';
     os << '\n';
     for (const profile::EdgeAction &a : plan.flatEdgeActions)
         dump_action(a);
-    os << '\n';
-    for (const std::uint32_t base : plan.edgeBase)
-        os << base << ' ';
     os << '\n';
     return os.str();
 }
@@ -634,8 +606,8 @@ serializePlan(const profile::InstrumentationPlan &plan)
  * Check 8 (k-BLPP degeneracy, docs/KBLPP.md): instrumentation plans
  * are a pure function of the CFG, mode, scheme and placement — never
  * of k. Rebuild every method's profiling state from pristine inputs at
- * k = 1 and k = kIterations and byte-compare the serialized plans
- * (flat mirrors included), then prove the k = 1 id space *is* the raw
+ * k = 1 and k = kIterations and byte-compare the serialized plans,
+ * then prove the k = 1 id space *is* the raw
  * Ball-Larus range [0, totalPaths).
  */
 void
@@ -702,9 +674,6 @@ runStaticVerifyPasses(
                 continue;
             const std::string &name =
                 machine.program().methods[key.first].name;
-            analysis::auditPlanMirror(vp->state->plan, name,
-                                      /*has_version=*/true, key.second,
-                                      diags);
             analysis::KPathCheckInput kinput;
             kinput.plan = &vp->state->plan;
             kinput.kpath = &vp->state->kpath;
@@ -756,8 +725,6 @@ injectKindName(InjectKind kind)
     switch (kind) {
       case InjectKind::None:
         return "none";
-      case InjectKind::StaleFlatAfterSpanning:
-        return "stale-flat";
       case InjectKind::CorruptFlatIncrement:
         return "corrupt-increment";
       case InjectKind::StaleTemplate:
@@ -783,8 +750,6 @@ parseInjectKind(const std::string &name, InjectKind &out)
 {
     if (name == "none") {
         out = InjectKind::None;
-    } else if (name == "stale-flat") {
-        out = InjectKind::StaleFlatAfterSpanning;
     } else if (name == "corrupt-increment") {
         out = InjectKind::CorruptFlatIncrement;
     } else if (name == "stale-template") {
@@ -945,8 +910,6 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
                                 /*charge_costs=*/false, opts.scheme,
                                 core::PathStoreKind::Array,
                                 opts.placement, opts.kIterations);
-    NestedDispatchProfiler nested(machine, opts.mode, opts.scheme,
-                                  opts.placement, opts.kIterations);
 
     std::vector<std::unique_ptr<core::SimplifiedArnoldGrove>>
         controllers;
@@ -968,8 +931,6 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
     machine.addCompileObserver(&oracle);
     machine.addHooks(&full);
     machine.addCompileObserver(&full);
-    machine.addHooks(&nested);
-    machine.addCompileObserver(&nested);
     for (auto &pep : peps) {
         machine.addHooks(pep.get());
         machine.addCompileObserver(pep.get());
@@ -998,7 +959,7 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
         // Inject after a warm-up iteration so corrupted plans actually
         // execute in the following ones.
         if (opts.inject != InjectKind::None && it + 1 < opts.iterations)
-            applyInjection(machine, full, opts, injected);
+            applyInjection(full, opts, injected);
         if (opts.inject == InjectKind::TruncatedWindow &&
             it + 1 < opts.iterations) {
             full.setTruncateWindowInjection(true);
@@ -1075,8 +1036,7 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
     std::size_t pep_overflows = 0;
     for (const auto &pep : peps)
         pep_overflows += pep->overflowCount();
-    if (full.overflowCount() != 0 || nested.overflowCount() != 0 ||
-        pep_overflows != 0) {
+    if (full.overflowCount() != 0 || pep_overflows != 0) {
         // Disabled plans profile nothing while the oracle still counts
         // segments; the comparisons below don't apply. The generator
         // sizes programs so this never happens in practice.
@@ -1092,7 +1052,7 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
         return report;
     }
 
-    // Checks 2-4: full BLPP vs oracle, flat vs nested, agreed totals.
+    // Checks 2 and 4: full BLPP vs oracle, agreed totals.
     for (auto &[key, vp] : full.versionProfiles()) {
         if (!vp->state->plan.enabled)
             continue;
@@ -1131,36 +1091,11 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
                 addViolation(report, os.str());
             }
         }
-
-        const NestedDispatchProfiler::VersionCounts *nc =
-            nested.countsFor(key);
-        if (!nc) {
-            addViolation(report, "nested: " + keyName(key) +
-                                     " has no nested-dispatch state");
-            continue;
-        }
-        std::map<std::uint64_t, std::uint64_t> flat_counts;
-        for (const auto &[number, record] : vp->paths.paths())
-            flat_counts[number] = record.count;
-        if (flat_counts != nc->counts) {
-            addViolation(
-                report,
-                "flat/nested: " + keyName(key) +
-                    " flat dispatch diverged from nested dispatch "
-                    "(stale or corrupt flatEdgeActions mirror)");
-        }
     }
 
     if (full.pathsStored() != oracle.totalSegments()) {
         std::ostringstream os;
         os << "totals: full stored " << full.pathsStored()
-           << " paths but the oracle saw " << oracle.totalSegments()
-           << " segments";
-        addViolation(report, os.str());
-    }
-    if (nested.totalCompleted() != oracle.totalSegments()) {
-        std::ostringstream os;
-        os << "totals: nested completed " << nested.totalCompleted()
            << " paths but the oracle saw " << oracle.totalSegments()
            << " segments";
         addViolation(report, os.str());

@@ -4,8 +4,7 @@
 /**
  * @file
  * The differential checker: run one program through the exact oracle,
- * full BLPP (flat dispatch), the nested-dispatch mirror, and several
- * PEP sampling configurations — all on the same Machine, hence the same
+ * full BLPP and several PEP sampling configurations — all on the same Machine, hence the same
  * deterministic event stream — then cross-check every pair against the
  * oracle invariants:
  *
@@ -13,8 +12,8 @@
  *     ground-truth edge counts (pins the oracle to the interpreter);
  *  2. full BLPP's number->count table, mapped through the
  *     reconstructor, equals the oracle's segment counts *exactly*;
- *  3. flat and nested dispatch produce identical number->count tables
- *     (the dynamic extension of plan-checker check 8);
+ *  3. (unassigned: check numbers are stable ids that docs and
+ *     violation reports refer to);
  *  4. every engine agrees on the total number of completed paths;
  *  5. PEP-sampled counts never exceed the oracle's, sum to
  *     samplesRecorded, and the derived edge profile is bounded by
@@ -43,10 +42,10 @@
  *     took at compile time — a cloned branch whose counters fold to
  *     the wrong (or no) bytecode-level branch cannot hide.
  *
- * Fault injection (for harness self-tests and CI) deliberately breaks
- * the flat/nested mirror invariant after a warm-up iteration, modelling
- * the "forgot rebuildFlat() after applySpanningPlacement" bug class —
- * or, for `stale-template`, mutates installed branch layouts without
+ * Fault injection (for harness self-tests and CI) deliberately corrupts
+ * the full profiler's edge table after a warm-up iteration
+ * (`corrupt-increment`, which checks 2 and 4 must catch) — or, for
+ * `stale-template`, mutates installed branch layouts without
  * Machine::invalidateDecoded(), which check 7 must catch, or, for
  * `bad-clone-fold`, invalidates a cloned branch block's BlockOrigin in
  * place, which check 9 and the static clone audits must catch.
@@ -76,11 +75,6 @@ struct PepConfig
 enum class InjectKind : std::uint8_t
 {
     None,
-
-    /** Overwrite the flat mirror with the pre-spanning (direct) plan's,
-     *  as if applySpanningPlacement had skipped rebuildFlat(). Only
-     *  effective with PlacementKind::SpanningTree. */
-    StaleFlatAfterSpanning,
 
     /** Bump the first nonzero flat increment by one. */
     CorruptFlatIncrement,
@@ -121,10 +115,8 @@ enum class InjectKind : std::uint8_t
      *  full profiler silently drops partial windows at method exit and
      *  OSR instead of emitting them — the truncated-window bug class
      *  (a frame dies and its accumulated segments vanish). The oracle
-     *  still counts every window, so the totals check (check 4), the
-     *  missed-path check (check 2) and the flat/nested mirror
-     *  (check 3, the nested profiler flushes correctly) must all
-     *  report it. */
+     *  still counts every window, so the totals check (check 4) and
+     *  the missed-path check (check 2) must both report it. */
     TruncatedWindow,
 
     /** Requires a config with optClone and a program hot enough to
@@ -151,7 +143,7 @@ enum class InjectKind : std::uint8_t
     StaleFusion,
 };
 
-/** Name for reports / CLI flags ("none", "stale-flat", ...). */
+/** Name for reports / CLI flags ("none", "corrupt-increment", ...). */
 std::string injectKindName(InjectKind kind);
 
 /** Parse an injection name; returns false on unknown names. */

@@ -131,7 +131,8 @@ ExactOracle::onMethodExit(const vm::FrameView &frame)
 }
 
 void
-ExactOracle::onEdge(const vm::FrameView &frame, cfg::EdgeRef edge)
+ExactOracle::onEdge(const vm::FrameView &frame, cfg::EdgeRef edge,
+                    std::uint32_t /*flat_id*/)
 {
     // Bytecode-level mirror, following the interpreter's own rule:
     // non-inlined frames record every edge against the method's CFG;

@@ -110,7 +110,8 @@ class ExactOracle final : public vm::ExecutionHooks,
     // ExecutionHooks
     void onMethodEntry(const vm::FrameView &frame) override;
     void onMethodExit(const vm::FrameView &frame) override;
-    void onEdge(const vm::FrameView &frame, cfg::EdgeRef edge) override;
+    void onEdge(const vm::FrameView &frame, cfg::EdgeRef edge,
+                std::uint32_t flat_id) override;
     void onLoopHeader(const vm::FrameView &frame,
                       cfg::BlockId block) override;
     void onOsr(const vm::FrameView &frame, cfg::BlockId header) override;

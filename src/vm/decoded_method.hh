@@ -7,7 +7,7 @@
  * (docs/ENGINE.md). At install time each compiled version is translated
  * into a contiguous array of Templates: operands resolved, branch
  * targets turned into template indices, the version's branch layout and
- * the structural flat-edge base (`InstrumentationPlan::edgeBase`) burned
+ * the block's dense edge base (`bytecode::MethodCfg::edgeBase`) burned
  * into block-boundary templates, and per-op scaled costs folded into
  * per-segment sums so straight-line block bodies execute with zero
  * profiling branches.
@@ -59,8 +59,7 @@
  * version's installed `branchLayout`. Whenever a version's plan
  * mutates after install (recompilation installs a fresh version
  * naturally; relayout mutates in place), the cached stream MUST be
- * invalidated via Machine::invalidateDecoded — the template-stream
- * mirror of the PR-2 `rebuildFlat()` invariant.
+ * invalidated via Machine::invalidateDecoded.
  */
 
 #include <cstdint>
@@ -174,7 +173,7 @@ struct Template
     std::int32_t b = 0; ///< operand
 
     cfg::BlockId block = 0;    ///< block this instruction belongs to
-    std::uint32_t flatBase = 0; ///< structural edgeBase[block]
+    std::uint32_t flatBase = 0; ///< MethodCfg::edgeBase[block]
 
     /** Taken target (branches/Goto) — template, pc, block. */
     std::uint32_t taken = 0;
@@ -226,14 +225,6 @@ struct DecodedMethod
      *  trace). Empty / all -1 unless `fuse.traces`. */
     std::vector<std::vector<cfg::BlockId>> traces;
     std::vector<std::int32_t> blockTrace;
-
-    /**
-     * Structural prefix sums of per-block CFG successor counts
-     * (numBlocks + 1 entries). Identical to every enabled
-     * InstrumentationPlan's `edgeBase` for this CFG — the plan
-     * checker's template check proves it memberwise.
-     */
-    std::vector<std::uint32_t> edgeBase;
 };
 
 // ---- Fusion introspection (shared by the translator, the threaded

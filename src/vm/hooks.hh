@@ -80,29 +80,21 @@ class ExecutionHooks
      *  frame is popped after this event. */
     virtual void onMethodExit(const FrameView &frame) { (void)frame; }
 
-    /** A CFG edge of the frame's method was taken (includes the
-     *  entry->firstBlock edge and returnBlock->exit edges). */
+    /**
+     * A CFG edge of the frame's method was taken (includes the
+     * entry->firstBlock edge and returnBlock->exit edges). `flat_id`
+     * is the edge's dense id in the frame's executing CFG
+     * (bytecode::MethodCfg::flatEdgeId), the index of its action in
+     * every InstrumentationPlan::flatEdgeActions. Both engines fire
+     * this one event.
+     */
     virtual void
-    onEdge(const FrameView &frame, cfg::EdgeRef edge)
+    onEdge(const FrameView &frame, cfg::EdgeRef edge,
+           std::uint32_t flat_id)
     {
         (void)frame;
         (void)edge;
-    }
-
-    /**
-     * Same event with the edge's dense flat id (edgeBase[src] + index,
-     * the structural numbering every InstrumentationPlan's flat tables
-     * use) precomputed by the threaded engine's templates. The default
-     * forwards to onEdge; hooks that dispatch on flat tables override
-     * it to skip the base lookup. Overriders MUST behave identically to
-     * their onEdge — the engines' byte-identity contract depends on it.
-     */
-    virtual void
-    onEdgeFast(const FrameView &frame, cfg::EdgeRef edge,
-               std::uint32_t flat_id)
-    {
         (void)flat_id;
-        onEdge(frame, edge);
     }
 
     /** Control entered a loop-header block (fired after the incoming

@@ -64,6 +64,23 @@ struct BlockOrigin
     }
 };
 
+/** A bytecode-level branch edge of an original method. */
+struct OriginEdge
+{
+    /** Original method; kInvalidOriginMethod when the edge has no
+     *  original identity. */
+    bytecode::MethodId method = BlockOrigin::kInvalidOriginMethod;
+
+    /** The edge in the original method's CFG. */
+    cfg::EdgeRef edge;
+
+    bool
+    valid() const
+    {
+        return method != BlockOrigin::kInvalidOriginMethod;
+    }
+};
+
 /** A compiled method body with calls inlined. */
 struct InlinedBody
 {
@@ -84,6 +101,29 @@ struct InlinedBody
 
     /** Number of call sites inlined. */
     std::uint32_t inlinedSites = 0;
+
+    /**
+     * The bytecode-level branch edge a taken edge of the synthesized
+     * CFG counts against. Several inlined branches may share one
+     * original branch's taken/not-taken counters (paper Section 4.3),
+     * so Cond/Switch edges map through their block's origin; every
+     * other synthesized edge (gotos, returns rewritten as gotos,
+     * prologues) has no original identity and folds to nothing.
+     */
+    OriginEdge
+    originEdge(cfg::EdgeRef edge) const
+    {
+        const bytecode::TerminatorKind kind =
+            info.cfg.terminator[edge.src];
+        if (kind != bytecode::TerminatorKind::Cond &&
+            kind != bytecode::TerminatorKind::Switch) {
+            return {};
+        }
+        const BlockOrigin &origin = blockOrigin[edge.src];
+        if (!origin.valid())
+            return {};
+        return {origin.method, cfg::EdgeRef{origin.block, edge.index}};
+    }
 };
 
 /**

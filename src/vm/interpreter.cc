@@ -169,7 +169,8 @@ Interpreter::pushFrame(bytecode::MethodId m, Frame *caller,
     yieldpoint(YieldpointKind::MethodEntry);
 
     // The entry -> first-block edge is a real CFG (and DAG) edge.
-    edgeTaken(f, cfg::EdgeRef{f.info->cfg.graph.entry(), 0});
+    const cfg::EdgeRef entry_edge{f.info->cfg.graph.entry(), 0};
+    edgeTaken(f, entry_edge, f.info->cfg.flatEdgeId(entry_edge));
     if (f.info->headerLeaderPc[0]) {
         const cfg::BlockId block = f.info->cfg.blockOfPc[0];
         for (ExecutionHooks *hooks : vm_.hooks_)
@@ -258,54 +259,27 @@ Interpreter::yieldpoint(YieldpointKind kind, cfg::BlockId block)
 }
 
 void
-Interpreter::recordEdgeTruth(const Frame &frame, cfg::EdgeRef edge)
+Interpreter::edgeTaken(const Frame &frame, cfg::EdgeRef edge,
+                       std::uint32_t flat_id)
 {
+    // Ground truth is kept per bytecode-level branch of the original
+    // methods (InlinedBody::originEdge folds inlined code).
     const InlinedBody *inlined = frame.version->inlinedBody.get();
     if (!inlined) {
         vm_.truth_.perMethod[frame.method].addEdge(edge);
     } else {
-        // Ground truth is kept per bytecode-level branch of the
-        // original methods; inlined branch edges map through their
-        // block origin, other synthesized edges carry no original
-        // identity.
-        const auto kind = frame.info->cfg.terminator[edge.src];
-        if (kind == bytecode::TerminatorKind::Cond ||
-            kind == bytecode::TerminatorKind::Switch) {
-            const BlockOrigin &origin = inlined->blockOrigin[edge.src];
-            if (origin.valid()) {
-                vm_.truth_.perMethod[origin.method].addEdge(
-                    cfg::EdgeRef{origin.block, edge.index});
-            }
-        }
+        const OriginEdge origin = inlined->originEdge(edge);
+        if (origin.valid())
+            vm_.truth_.perMethod[origin.method].addEdge(origin.edge);
     }
-}
 
-void
-Interpreter::edgeTaken(const Frame &frame, cfg::EdgeRef edge)
-{
-    recordEdgeTruth(frame, edge);
     const FrameView fv = view(frames_.back());
     for (ExecutionHooks *hooks : vm_.hooks_)
-        hooks->onEdge(fv, edge);
+        hooks->onEdge(fv, edge, flat_id);
 
     // Alternative yieldpoint placement (paper Section 3.2): on back
     // edges instead of loop headers. Fired after onEdge so a
     // back-edge-truncating profiler has already completed the path.
-    if (vm_.params_.yieldpointsOnBackEdges &&
-        frame.info->isBackEdge[edge.src][edge.index]) {
-        yieldpoint(YieldpointKind::BackEdge);
-    }
-}
-
-void
-Interpreter::edgeTakenFast(const Frame &frame, cfg::EdgeRef edge,
-                           std::uint32_t flat_id)
-{
-    recordEdgeTruth(frame, edge);
-    const FrameView fv = view(frames_.back());
-    for (ExecutionHooks *hooks : vm_.hooks_)
-        hooks->onEdgeFast(fv, edge, flat_id);
-
     if (vm_.params_.yieldpointsOnBackEdges &&
         frame.info->isBackEdge[edge.src][edge.index]) {
         yieldpoint(YieldpointKind::BackEdge);
@@ -337,8 +311,8 @@ Interpreter::advance(Frame &frame)
     const MethodInfo &info = *frame.info;
     if (next < info.leaderPc.size() && info.leaderPc[next]) {
         // Fall-through into the next block: a CFG edge.
-        const cfg::BlockId block = info.cfg.blockOfPc[frame.pc];
-        edgeTaken(frame, cfg::EdgeRef{block, 0});
+        const cfg::EdgeRef edge{info.cfg.blockOfPc[frame.pc], 0};
+        edgeTaken(frame, edge, info.cfg.flatEdgeId(edge));
         transferTo(frame, next);
     } else {
         frame.pc = next;
@@ -479,8 +453,8 @@ Interpreter::loop()
             advance(f);
             break;
           case Opcode::Goto: {
-            const cfg::BlockId block = f.info->cfg.blockOfPc[f.pc];
-            edgeTaken(f, cfg::EdgeRef{block, 0});
+            const cfg::EdgeRef edge{f.info->cfg.blockOfPc[f.pc], 0};
+            edgeTaken(f, edge, f.info->cfg.flatEdgeId(edge));
             transferTo(f, static_cast<bytecode::Pc>(instr.a));
             break;
           }
@@ -513,12 +487,12 @@ Interpreter::loop()
                 vm_.cycles_ += cost.layoutMissPenalty;
                 ++vm_.stats_.layoutMisses;
             }
+            const cfg::EdgeRef edge{block, succ_index};
             if (f.version->baselineEdgeInstr) {
                 vm_.cycles_ += cost.edgeCounterCost;
-                vm_.oneTime_.perMethod[f.method].addEdge(
-                    cfg::EdgeRef{block, succ_index});
+                vm_.oneTime_.perMethod[f.method].addEdge(edge);
             }
-            edgeTaken(f, cfg::EdgeRef{block, succ_index});
+            edgeTaken(f, edge, info.cfg.flatEdgeId(edge));
             transferTo(f, target);
             break;
           }
@@ -540,7 +514,8 @@ Interpreter::loop()
                 result = f.stack.back();
                 f.stack.pop_back();
             }
-            edgeTaken(f, cfg::EdgeRef{block, 0});
+            const cfg::EdgeRef edge{block, 0};
+            edgeTaken(f, edge, info.cfg.flatEdgeId(edge));
             const FrameView fv = view(f);
             for (ExecutionHooks *hooks : vm_.hooks_)
                 hooks->onMethodExit(fv);
@@ -580,7 +555,7 @@ Interpreter::loop()
                 vm_.cycles_ += cost.edgeCounterCost;
                 vm_.oneTime_.perMethod[f.method].addEdge(edge);
             }
-            edgeTaken(f, edge);
+            edgeTaken(f, edge, info.cfg.flatEdgeId(edge));
             if (taken) {
                 transferTo(f, static_cast<bytecode::Pc>(instr.a));
             } else {

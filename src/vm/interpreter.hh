@@ -102,18 +102,13 @@ class Interpreter
     void yieldpoint(YieldpointKind kind,
                     cfg::BlockId block = cfg::kInvalidBlock);
 
-    /** Fire edge hooks + ground truth for a taken CFG edge (edge ids
-     *  are in the frame's executing CFG; ground truth maps inlined
-     *  branch edges back to their original bytecode branch). */
-    void edgeTaken(const Frame &frame, cfg::EdgeRef edge);
-
-    /** edgeTaken with the edge's dense flat id precomputed by the
-     *  threaded engine's templates (fires onEdgeFast). */
-    void edgeTakenFast(const Frame &frame, cfg::EdgeRef edge,
-                       std::uint32_t flat_id);
-
-    /** Ground-truth recording shared by edgeTaken/edgeTakenFast. */
-    void recordEdgeTruth(const Frame &frame, cfg::EdgeRef edge);
+    /** Fire edge hooks + ground truth for a taken CFG edge. Edge ids
+     *  are in the frame's executing CFG, and `flat_id` is the edge's
+     *  dense id there (the threaded engine's templates carry it; the
+     *  switch engine asks the CFG). Ground truth maps inlined branch
+     *  edges back to their original bytecode branch. */
+    void edgeTaken(const Frame &frame, cfg::EdgeRef edge,
+                   std::uint32_t flat_id);
 
     /** Transfer control to `target` pc, firing header events. */
     void transferTo(Frame &frame, bytecode::Pc target);

@@ -27,40 +27,15 @@
  * (see decoded_method.hh for the invariants that make interiors
  * yieldpoint-free).
  *
- * Dispatch is computed goto on GCC/Clang; defining
- * PEP_THREADED_FORCE_SWITCH selects the portable switch fallback
- * (same templates, same behaviour).
+ * Dispatch is computed goto (a GCC/Clang extension, like the flags
+ * the top-level CMakeLists.txt passes unconditionally); the switch
+ * engine (interpreter.cc) is the portable reference.
  */
-
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(PEP_THREADED_FORCE_SWITCH)
-#define PEP_THREADED_COMPUTED_GOTO 1
-#else
-#define PEP_THREADED_COMPUTED_GOTO 0
-#endif
 
 namespace pep::vm {
 
-#if PEP_THREADED_COMPUTED_GOTO
 #define PEP_OP(name) L_##name:
-#define PEP_TOP_AT(label, VALUE) L_##label:
 #define PEP_DISPATCH() goto *kLabels[ts[tp].op]
-#else
-#define PEP_OP(name) case static_cast<std::uint8_t>(bytecode::Opcode::name):
-#define PEP_TOP_AT(label, VALUE) case (VALUE):
-#define PEP_DISPATCH() goto dispatch_top
-#endif
-
-/** Offsets of an opcode within its fused-top family. */
-#define PEP_ARITH_OFF(name)                                            \
-    (static_cast<std::uint8_t>(bytecode::Opcode::name) -               \
-     static_cast<std::uint8_t>(bytecode::Opcode::Iadd))
-#define PEP_ZBR_OFF(name)                                              \
-    (static_cast<std::uint8_t>(bytecode::Opcode::name) -               \
-     static_cast<std::uint8_t>(bytecode::Opcode::Ifeq))
-#define PEP_CBR_OFF(name)                                              \
-    (static_cast<std::uint8_t>(bytecode::Opcode::name) -               \
-     static_cast<std::uint8_t>(bytecode::Opcode::IfIcmpeq))
 
 /**
  * The single source of truth for binary-arithmetic semantics in this
@@ -138,7 +113,7 @@ namespace pep::vm {
         vm_.oneTime_.perMethod[f->method].addEdge(                     \
             cfg::EdgeRef{t.block, succ});                              \
     }                                                                  \
-    edgeTakenFast(*f, cfg::EdgeRef{t.block, succ}, t.flatBase + succ); \
+    edgeTaken(*f, cfg::EdgeRef{t.block, succ}, t.flatBase + succ);     \
     if (taken) {                                                       \
         PEP_TRANSFER(t.taken, t.takenPc, t.flags & kTplTakenHeader,    \
                      t.takenBlock);                                    \
@@ -172,7 +147,7 @@ namespace pep::vm {
         vm_.oneTime_.perMethod[f->method].addEdge(                     \
             cfg::EdgeRef{t.block, succ});                              \
     }                                                                  \
-    edgeTakenFast(*f, cfg::EdgeRef{t.block, succ}, t.flatBase + succ); \
+    edgeTaken(*f, cfg::EdgeRef{t.block, succ}, t.flatBase + succ);     \
     if (taken) {                                                       \
         PEP_TRANSFER(t.taken, t.takenPc, t.flags & kTplTakenHeader,    \
                      t.takenBlock);                                    \
@@ -226,8 +201,7 @@ namespace pep::vm {
 
 /** Trace guard, zero-compare / two-operand families. */
 #define PEP_GUARD_ZERO(name, CMP)                                      \
-    PEP_TOP_AT(GuardZero_##name,                                       \
-               kTopGuardZeroBase + PEP_ZBR_OFF(name))                  \
+    PEP_OP(GuardZero_##name)                                           \
     {                                                                  \
         const Template &t = ts[tp];                                    \
         PEP_CHARGE(t);                                                 \
@@ -236,7 +210,7 @@ namespace pep::vm {
         PEP_GUARD_TAIL(v CMP 0)                                        \
     }
 #define PEP_GUARD_CMP(name, CMP)                                       \
-    PEP_TOP_AT(GuardCmp_##name, kTopGuardCmpBase + PEP_CBR_OFF(name))  \
+    PEP_OP(GuardCmp_##name)                                            \
     {                                                                  \
         const Template &t = ts[tp];                                    \
         PEP_CHARGE(t);                                                 \
@@ -249,8 +223,7 @@ namespace pep::vm {
 
 /** [Iconst k, arith]: burned-in rhs, lhs replaced on the stack. */
 #define PEP_CONST_ARITH(name, EXPR)                                    \
-    PEP_TOP_AT(ConstArith_##name,                                      \
-               kTopConstArithBase + PEP_ARITH_OFF(name))               \
+    PEP_OP(ConstArith_##name)                                          \
     {                                                                  \
         const Template &t = ts[tp];                                    \
         PEP_CHARGE(t);                                                 \
@@ -267,8 +240,7 @@ namespace pep::vm {
 
 /** [Iload x, arith]: burned-in rhs local, lhs replaced on the stack. */
 #define PEP_LOAD_ARITH(name, EXPR)                                     \
-    PEP_TOP_AT(LoadArith_##name,                                       \
-               kTopLoadArithBase + PEP_ARITH_OFF(name))                \
+    PEP_OP(LoadArith_##name)                                           \
     {                                                                  \
         const Template &t = ts[tp];                                    \
         PEP_CHARGE(t);                                                 \
@@ -285,8 +257,7 @@ namespace pep::vm {
 
 /** [Iload x, Iload y, arith]: no stack traffic at all. */
 #define PEP_LOADLOAD_ARITH(name, EXPR)                                 \
-    PEP_TOP_AT(LoadLoadArith_##name,                                   \
-               kTopLoadLoadArithBase + PEP_ARITH_OFF(name))            \
+    PEP_OP(LoadLoadArith_##name)                                       \
     {                                                                  \
         const Template &t = ts[tp];                                    \
         PEP_CHARGE(t);                                                 \
@@ -303,8 +274,7 @@ namespace pep::vm {
 
 /** [Iload x, Iconst k, arith]. */
 #define PEP_LOADCONST_ARITH(name, EXPR)                                \
-    PEP_TOP_AT(LoadConstArith_##name,                                  \
-               kTopLoadConstArithBase + PEP_ARITH_OFF(name))           \
+    PEP_OP(LoadConstArith_##name)                                      \
     {                                                                  \
         const Template &t = ts[tp];                                    \
         PEP_CHARGE(t);                                                 \
@@ -321,8 +291,7 @@ namespace pep::vm {
 
 /** [Iload x, ifXX]: operand straight from the local. */
 #define PEP_LOAD_ZEROBR(name, CMP)                                     \
-    PEP_TOP_AT(LoadZeroBr_##name,                                      \
-               kTopLoadZeroBrBase + PEP_ZBR_OFF(name))                 \
+    PEP_OP(LoadZeroBr_##name)                                          \
     {                                                                  \
         const Template &t = ts[tp];                                    \
         PEP_CHARGE(t);                                                 \
@@ -332,8 +301,7 @@ namespace pep::vm {
 
 /** [Iload x, Iload y, if_icmpXX]. */
 #define PEP_LOADLOAD_CMPBR(name, CMP)                                  \
-    PEP_TOP_AT(LoadLoadCmpBr_##name,                                   \
-               kTopLoadLoadCmpBrBase + PEP_CBR_OFF(name))              \
+    PEP_OP(LoadLoadCmpBr_##name)                                       \
     {                                                                  \
         const Template &t = ts[tp];                                    \
         PEP_CHARGE(t);                                                 \
@@ -344,8 +312,7 @@ namespace pep::vm {
 
 /** [Iload x, Iconst k, if_icmpXX]. */
 #define PEP_LOADCONST_CMPBR(name, CMP)                                 \
-    PEP_TOP_AT(LoadConstCmpBr_##name,                                  \
-               kTopLoadConstCmpBrBase + PEP_CBR_OFF(name))             \
+    PEP_OP(LoadConstCmpBr_##name)                                      \
     {                                                                  \
         const Template &t = ts[tp];                                    \
         PEP_CHARGE(t);                                                 \
@@ -363,7 +330,7 @@ namespace pep::vm {
         result = f->stack.back();                                      \
         f->stack.pop_back();                                           \
     }                                                                  \
-    edgeTakenFast(*f, cfg::EdgeRef{t.block, 0}, t.flatBase);           \
+    edgeTaken(*f, cfg::EdgeRef{t.block, 0}, t.flatBase);               \
     {                                                                  \
         const FrameView fv = view(*f);                                 \
         for (ExecutionHooks *hooks : vm_.hooks_)                       \
@@ -387,7 +354,6 @@ Interpreter::loopThreaded()
     std::int32_t *locals = nullptr;
     std::uint32_t tp = 0;
 
-#if PEP_THREADED_COMPUTED_GOTO
     // Indexed by TOp: bytecode::Opcode values, then the synthetic
     // entries in the order decoded_method.hh lays out the top space.
 #define PEP_LBL_GZ(name, CMP) &&L_GuardZero_##name,
@@ -431,7 +397,6 @@ Interpreter::loopThreaded()
 #undef PEP_LBL_LZB
 #undef PEP_LBL_LLC
 #undef PEP_LBL_LCC
-#endif
 
 rebind:
     // Boundary state: derive everything from the top frame's
@@ -455,11 +420,6 @@ rebind:
         tp = dm.pcToTemplate[f->pc];
     }
     PEP_DISPATCH();
-
-#if !PEP_THREADED_COMPUTED_GOTO
-dispatch_top:
-    switch (ts[tp].op) {
-#endif
 
     PEP_OP(Iconst)
     {
@@ -572,7 +532,7 @@ dispatch_top:
     {
         const Template &t = ts[tp];
         PEP_CHARGE(t);
-        edgeTakenFast(*f, cfg::EdgeRef{t.block, 0}, t.flatBase);
+        edgeTaken(*f, cfg::EdgeRef{t.block, 0}, t.flatBase);
         PEP_TRANSFER(t.taken, t.takenPc, t.flags & kTplTakenHeader,
                      t.takenBlock);
     }
@@ -603,8 +563,7 @@ dispatch_top:
                 cfg::EdgeRef{t.block, succ});
         }
         const SwitchCase &c = sw[t.swFirst + succ];
-        edgeTakenFast(*f, cfg::EdgeRef{t.block, succ},
-                      t.flatBase + succ);
+        edgeTaken(*f, cfg::EdgeRef{t.block, succ}, t.flatBase + succ);
         PEP_TRANSFER(c.tpl, c.pc, c.isHeader, c.block);
     }
     PEP_OP(Invoke)
@@ -620,7 +579,7 @@ dispatch_top:
         // the template from it).
         f->pc = t.fallPc;
         if (t.flags & kTplEndsBlock) {
-            edgeTakenFast(*f, cfg::EdgeRef{t.block, 0}, t.flatBase);
+            edgeTaken(*f, cfg::EdgeRef{t.block, 0}, t.flatBase);
             if (t.flags & kTplFallHeader) {
                 const FrameView fv = view(*f);
                 for (ExecutionHooks *hooks : vm_.hooks_)
@@ -640,16 +599,16 @@ dispatch_top:
     {
         PEP_RETURN_BODY(true);
     }
-    PEP_TOP_AT(FallEdge, kTopFallEdge)
+    PEP_OP(FallEdge)
     {
         // Injected fall-through block end: the block's single CFG edge
         // plus the transfer (cost/ninstr are zero — no instruction).
         const Template &t = ts[tp];
-        edgeTakenFast(*f, cfg::EdgeRef{t.block, 0}, t.flatBase);
+        edgeTaken(*f, cfg::EdgeRef{t.block, 0}, t.flatBase);
         PEP_TRANSFER(t.fall, t.fallPc, t.flags & kTplFallHeader,
                      t.fallBlock);
     }
-    PEP_TOP_AT(TraceFall, kTopTraceFall)
+    PEP_OP(TraceFall)
     {
         // Trace-interior fall-through block end: the edge event plus a
         // direct jump — the target is a non-header single-predecessor
@@ -657,14 +616,14 @@ dispatch_top:
         // fire here (the edge is never a back edge: back edges target
         // headers).
         const Template &t = ts[tp];
-        edgeTakenFast(*f, cfg::EdgeRef{t.block, 0}, t.flatBase);
+        edgeTaken(*f, cfg::EdgeRef{t.block, 0}, t.flatBase);
         f->pc = t.fallPc;
         tp = t.fall;
         PEP_DISPATCH();
     }
     PEP_FOR_EACH_ZEROBR(PEP_GUARD_ZERO)
     PEP_FOR_EACH_CMPBR(PEP_GUARD_CMP)
-    PEP_TOP_AT(ConstStore, kTopConstStore)
+    PEP_OP(ConstStore)
     {
         const Template &t = ts[tp];
         PEP_CHARGE(t);
@@ -672,7 +631,7 @@ dispatch_top:
         ++tp;
         PEP_DISPATCH();
     }
-    PEP_TOP_AT(LoadStore, kTopLoadStore)
+    PEP_OP(LoadStore)
     {
         const Template &t = ts[tp];
         PEP_CHARGE(t);
@@ -680,7 +639,7 @@ dispatch_top:
         ++tp;
         PEP_DISPATCH();
     }
-    PEP_TOP_AT(LoadLoad, kTopLoadLoad)
+    PEP_OP(LoadLoad)
     {
         const Template &t = ts[tp];
         PEP_CHARGE(t);
@@ -696,20 +655,10 @@ dispatch_top:
     PEP_FOR_EACH_ZEROBR(PEP_LOAD_ZEROBR)
     PEP_FOR_EACH_CMPBR(PEP_LOADLOAD_CMPBR)
     PEP_FOR_EACH_CMPBR(PEP_LOADCONST_CMPBR)
-
-#if !PEP_THREADED_COMPUTED_GOTO
-      default:
-        PEP_PANIC("bad template opcode");
-    }
-#endif
 }
 
 #undef PEP_OP
-#undef PEP_TOP_AT
 #undef PEP_DISPATCH
-#undef PEP_ARITH_OFF
-#undef PEP_ZBR_OFF
-#undef PEP_CBR_OFF
 #undef PEP_FOR_EACH_ARITH
 #undef PEP_FOR_EACH_ZEROBR
 #undef PEP_FOR_EACH_CMPBR

@@ -6,8 +6,9 @@
  * seeded violations of each invariant — duplicate path ids, an
  * increment on a spanning-tree edge, a nonzero hot-edge value under
  * smart numbering, tampered back-edge bookkeeping, and plans left
- * enabled after numbering overflow, and flattened dispatch tables out
- * of sync with the nested ones. Ends with a cross-validation
+ * enabled after numbering overflow, an edge table left stale by a
+ * skipped placement pass, and a corrupt edge numbering. Ends with a
+ * cross-validation
  * against the interpreter: dynamically observed path ids must lie in
  * the statically proven id space.
  */
@@ -284,7 +285,7 @@ TEST(PlanCheck, RejectsBackEdgeThatDoesNotEndPath)
                     NumberingScheme::BallLarus, PlacementKind::Direct);
     ASSERT_FALSE(b.cfg.backEdges.empty());
     const cfg::EdgeRef back = b.cfg.backEdges[0];
-    b.plan.edgeActions[back.src][back.index].endsPath = false;
+    b.plan.flatAction(b.cfg, back).endsPath = false;
 
     DiagnosticList diagnostics;
     EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
@@ -299,7 +300,7 @@ TEST(PlanCheck, RejectsTamperedBackEdgeEndAdd)
                     NumberingScheme::BallLarus, PlacementKind::Direct);
     ASSERT_FALSE(b.cfg.backEdges.empty());
     const cfg::EdgeRef back = b.cfg.backEdges[0];
-    b.plan.edgeActions[back.src][back.index].endAdd += 1;
+    b.plan.flatAction(b.cfg, back).endAdd += 1;
 
     DiagnosticList diagnostics;
     EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
@@ -314,15 +315,11 @@ TEST(PlanCheck, RejectsWrongEdgeIncrement)
     Built b = build(test::figure1Program(), DagMode::HeaderSplit,
                     NumberingScheme::BallLarus, PlacementKind::Direct);
     bool tampered = false;
-    for (cfg::BlockId v = 0;
-         v < b.cfg.graph.numBlocks() && !tampered; ++v) {
-        for (std::uint32_t i = 0; i < b.plan.edgeActions[v].size();
-             ++i) {
-            if (!b.plan.edgeActions[v][i].endsPath) {
-                b.plan.edgeActions[v][i].increment += 1;
-                tampered = true;
-                break;
-            }
+    for (profile::EdgeAction &action : b.plan.flatEdgeActions) {
+        if (!action.endsPath) {
+            action.increment += 1;
+            tampered = true;
+            break;
         }
     }
     ASSERT_TRUE(tampered);
@@ -346,9 +343,9 @@ TEST(PlanCheck, RejectsEnabledPlanAfterOverflow)
 
 TEST(PlanCheck, RejectsTamperedFlatAction)
 {
-    // The hot path dispatches off the flattened table, so a corrupt
-    // flat entry miscounts paths even when every nested invariant
-    // holds. Tampering flat-only isolates check 8.
+    // The hot path dispatches off the plan's one edge table, and
+    // check 4 reads that same table: a corrupt entry fails it
+    // directly.
     Built b = build(test::figure1Program(), DagMode::HeaderSplit,
                     NumberingScheme::BallLarus, PlacementKind::Direct);
     ASSERT_FALSE(b.plan.flatEdgeActions.empty());
@@ -356,47 +353,43 @@ TEST(PlanCheck, RejectsTamperedFlatAction)
 
     DiagnosticList diagnostics;
     EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
-    EXPECT_TRUE(hasError(diagnostics, "flattened action disagrees"))
+    EXPECT_TRUE(hasError(diagnostics, "edge increment 7 does not match"))
         << renderAll(diagnostics);
 }
 
 TEST(PlanCheck, RejectsStaleFlattenedTable)
 {
-    // The converse: mutate the nested table and "forget" to call
-    // rebuildFlat() — the exact bug class check 8 exists to catch
-    // (any pass that edits edgeActions must rebuild the mirror).
+    // A plan whose edge table still holds the direct increments after
+    // the spanning-tree pass should have rewritten it — the bug class
+    // of a skipped applySpanningPlacement. Check 4 compares the table
+    // the engines execute against the chord increments.
     Built b = build(test::figure1Program(), DagMode::HeaderSplit,
-                    NumberingScheme::BallLarus, PlacementKind::Direct);
-    bool tampered = false;
-    for (cfg::BlockId v = 0;
-         v < b.cfg.graph.numBlocks() && !tampered; ++v) {
-        if (!b.plan.edgeActions[v].empty()) {
-            b.plan.edgeActions[v][0].increment += 5;
-            tampered = true;
-        }
-    }
-    ASSERT_TRUE(tampered);
+                    NumberingScheme::BallLarus,
+                    PlacementKind::SpanningTree);
+    const profile::InstrumentationPlan direct =
+        profile::buildInstrumentationPlan(b.cfg, b.pdag, b.numbering);
+    ASSERT_NE(direct.flatEdgeActions.size(), 0u);
+    b.plan.flatEdgeActions = direct.flatEdgeActions;
 
     DiagnosticList diagnostics;
     EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
-    EXPECT_TRUE(hasError(diagnostics, "stale rebuildFlat"))
+    EXPECT_TRUE(hasError(diagnostics, "does not match expected"))
         << renderAll(diagnostics);
 }
 
 TEST(PlanCheck, RejectsCorruptEdgeBase)
 {
     // A wrong offset makes every lookup for that block hit another
-    // block's actions; the prefix-sum property must be proven, not
-    // assumed.
+    // block's actions; the prefix-sum property of the CFG's numbering
+    // must be proven, not assumed.
     Built b = build(test::figure1Program(), DagMode::HeaderSplit,
                     NumberingScheme::BallLarus, PlacementKind::Direct);
-    ASSERT_GE(b.plan.edgeBase.size(), 2u);
-    b.plan.edgeBase[1] += 1;
+    ASSERT_GE(b.cfg.edgeBase.size(), 2u);
+    b.cfg.edgeBase[1] += 1;
 
     DiagnosticList diagnostics;
     EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
-    EXPECT_TRUE(hasError(diagnostics, "prefix sum") ||
-                hasError(diagnostics, "flattened table covers"))
+    EXPECT_TRUE(hasError(diagnostics, "prefix sum"))
         << renderAll(diagnostics);
 }
 
@@ -408,7 +401,9 @@ TEST(PlanCheck, RejectsCorruptEdgeBase)
 DiagnosticList
 checkTemplatesOf(const bytecode::Program &program,
                  const std::function<void(vm::DecodedMethod &)> &tamper,
-                 bool &ok)
+                 bool &ok,
+                 const std::function<void(bytecode::MethodCfg &)>
+                     &tamper_cfg = nullptr)
 {
     const bytecode::Method &method =
         program.methods[program.mainMethod];
@@ -432,10 +427,13 @@ checkTemplatesOf(const bytecode::Program &program,
         vm::translateMethod(method, info, cm);
     if (tamper)
         tamper(decoded);
+    bytecode::MethodCfg checked_cfg = cfg;
+    if (tamper_cfg)
+        tamper_cfg(checked_cfg);
 
     TemplateCheckInput input;
     input.code = &method;
-    input.cfg = &cfg;
+    input.cfg = &checked_cfg;
     input.plan = &plan;
     input.decoded = &decoded;
     input.methodName = method.name;
@@ -466,7 +464,7 @@ TEST(PlanCheck, TemplateStreamAcceptsTranslatedMethods)
 
 TEST(PlanCheck, TemplateStreamRejectsCorruptFlatBase)
 {
-    // A wrong burned-in base makes onEdgeFast index another block's
+    // A wrong burned-in base makes onEdge index another block's
     // flat actions — the exact miscounting a stale or mistranslated
     // stream produces at runtime.
     bool ok = true;
@@ -481,12 +479,15 @@ TEST(PlanCheck, TemplateStreamRejectsCorruptFlatBase)
 
 TEST(PlanCheck, TemplateStreamRejectsMismatchedEdgeBase)
 {
+    // Templates translated against one numbering, checked against a
+    // CFG whose numbering shifts block 2: every burned-in base of that
+    // block now names another edge.
     bool ok = true;
     const DiagnosticList diagnostics = checkTemplatesOf(
-        test::figure1Program(),
-        [](vm::DecodedMethod &dm) { dm.edgeBase[1] += 1; }, ok);
+        test::figure1Program(), nullptr, ok,
+        [](bytecode::MethodCfg &cfg) { cfg.edgeBase[2] += 1; });
     EXPECT_FALSE(ok);
-    EXPECT_TRUE(hasError(diagnostics, "template edgeBase"))
+    EXPECT_TRUE(hasError(diagnostics, "carries flat base"))
         << renderAll(diagnostics);
 }
 

@@ -116,32 +116,6 @@ TEST(BenchReport, NonFiniteValuesAreNull)
     EXPECT_NE(json.find("\"half\": {\"value\": 0.5"), std::string::npos);
 }
 
-TEST(BenchReport, SampleStatsOnOddAndEvenSamples)
-{
-    const SampleStats odd = sampleStats({5.0, 1.0, 3.0, 100.0, 4.0});
-    EXPECT_EQ(odd.n, 5u);
-    EXPECT_DOUBLE_EQ(odd.median, 4.0);
-    EXPECT_DOUBLE_EQ(odd.min, 1.0);
-    // Deviations from 4: 1, 3, 1, 96, 0 -> sorted 0 1 1 3 96.
-    EXPECT_DOUBLE_EQ(odd.mad, 1.0);
-
-    const SampleStats even = sampleStats({4.0, 1.0, 2.0, 10.0});
-    EXPECT_EQ(even.n, 4u);
-    EXPECT_DOUBLE_EQ(even.median, 3.0);
-    EXPECT_DOUBLE_EQ(even.min, 1.0);
-    // Deviations from 3: 1, 2, 1, 7 -> sorted 1 1 2 7.
-    EXPECT_DOUBLE_EQ(even.mad, 1.5);
-
-    EXPECT_EQ(sampleStats({}).n, 0u);
-
-    Report report("t");
-    report.samples("s", {4.0, 1.0, 2.0, 10.0}, "s");
-    EXPECT_NE(report.json().find("\"s\": {\"value\": 3, \"unit\": \"s\", "
-                                 "\"n\": 4, \"min\": 1, \"mad\": 1.5}"),
-              std::string::npos)
-        << report.json();
-}
-
 TEST(BenchReport, CountsAttemptedAndFailedChecks)
 {
     Report report("t");

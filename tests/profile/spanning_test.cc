@@ -249,9 +249,9 @@ TEST(Spanning, ChordCountBoundedByCycleSpace)
 
 TEST(Spanning, ApplyRefreshesFlattenedTables)
 {
-    // applySpanningPlacement rewrites the nested edge actions; the
-    // flattened dispatch mirror must be rebuilt with it, or the hot
-    // path keeps executing the pre-spanning increments.
+    // applySpanningPlacement rewrites the plan's one edge table — the
+    // table the hot path executes — so every edge must now carry its
+    // chord increment, not the pre-spanning direct value.
     const bytecode::Program program = test::figure1Program();
     const MethodCfg cfg = bytecode::buildCfg(program.methods[0]);
     const PDag pdag = buildPDag(cfg, DagMode::HeaderSplit);
@@ -264,19 +264,22 @@ TEST(Spanning, ApplyRefreshesFlattenedTables)
         computeSpanningPlacement(pdag, numbering, &freqs);
     applySpanningPlacement(cfg, pdag, spanning, plan);
 
-    ASSERT_EQ(plan.edgeBase.size(), cfg.graph.numBlocks() + 1);
+    ASSERT_EQ(plan.flatEdgeActions.size(), cfg.numEdges());
+    std::size_t instrumented = 0;
     for (cfg::BlockId b = 0; b < cfg.graph.numBlocks(); ++b) {
         for (std::uint32_t i = 0; i < cfg.graph.succs(b).size();
              ++i) {
-            const cfg::EdgeRef edge{b, i};
-            const EdgeAction &nested = plan.edgeActions[b][i];
-            const EdgeAction &flat = plan.flatAction(edge);
-            EXPECT_EQ(flat.increment, nested.increment);
-            EXPECT_EQ(flat.endsPath, nested.endsPath);
-            EXPECT_EQ(flat.endAdd, nested.endAdd);
-            EXPECT_EQ(flat.restart, nested.restart);
+            const cfg::EdgeRef dag_edge = pdag.dagEdgeForCfgEdge[b][i];
+            const EdgeAction &flat =
+                plan.flatEdgeActions[cfg.flatEdgeId({b, i})];
+            EXPECT_EQ(flat.increment,
+                      spanning.increment[dag_edge.src][dag_edge.index]);
+            EXPECT_FALSE(flat.endsPath);
+            if (flat.increment != 0)
+                ++instrumented;
         }
     }
+    EXPECT_EQ(plan.numInstrumentedEdges, instrumented);
 }
 
 TEST(Spanning, AppliedPlanReproducesNumbersAtRuntimeSemantics)
@@ -309,8 +312,7 @@ TEST(Spanning, AppliedPlanReproducesNumbersAtRuntimeSemantics)
                     for (const cfg::EdgeRef &back : cfg.backEdges) {
                         if (cfg.graph.edgeDst(back) ==
                             path.startHeader) {
-                            reg = plan.edgeActions[back.src]
-                                      [back.index].restart;
+                            reg = plan.flatAction(cfg, back).restart;
                             break;
                         }
                     }
@@ -320,8 +322,7 @@ TEST(Spanning, AppliedPlanReproducesNumbersAtRuntimeSemantics)
             bool ended = false;
             for (std::size_t i = 0; i < path.cfgEdges.size(); ++i) {
                 const cfg::EdgeRef e = path.cfgEdges[i];
-                const EdgeAction &action =
-                    plan.edgeActions[e.src][e.index];
+                const EdgeAction &action = plan.flatAction(cfg, e);
                 if (action.endsPath) {
                     result = reg + action.endAdd;
                     ended = true;

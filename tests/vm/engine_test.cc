@@ -3,13 +3,15 @@
  * Tests of the pre-decoded threaded execution engine (docs/ENGINE.md):
  * translator edge cases over hand-written and random CFG shapes, the
  * switch/threaded observable byte-identity contract, park/resume
- * round-trips through mid-block scheduler switches, the clean
+ * round-trips through mid-block scheduler switches, the one edge
+ * event both engines fire (same edges, same dense ids), the clean
  * relayout-plus-invalidateDecoded path, and the translation-cache
  * counters.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -20,6 +22,7 @@
 #include "vm/cost_model.hh"
 #include "vm/decoded_method.hh"
 #include "vm/engine.hh"
+#include "vm/inliner.hh"
 #include "vm/interpreter.hh"
 #include "vm/machine.hh"
 
@@ -62,16 +65,6 @@ void
 expectWellFormed(const bytecode::Method &method,
                  const Translated &t)
 {
-    const cfg::Graph &graph = t.info.cfg.graph;
-
-    // edgeBase is the prefix sum of per-block successor counts.
-    ASSERT_EQ(t.decoded.edgeBase.size(), graph.numBlocks() + 1);
-    EXPECT_EQ(t.decoded.edgeBase[0], 0u);
-    for (cfg::BlockId b = 0; b < graph.numBlocks(); ++b)
-        EXPECT_EQ(t.decoded.edgeBase[b + 1],
-                  t.decoded.edgeBase[b] + graph.succs(b).size())
-            << "block " << b;
-
     // Every pc maps to a template that pre-decodes that instruction.
     ASSERT_EQ(t.decoded.pcToTemplate.size(), method.code.size());
     for (bytecode::Pc pc = 0; pc < method.code.size(); ++pc) {
@@ -80,7 +73,7 @@ expectWellFormed(const bytecode::Method &method,
         const Template &tpl = t.decoded.stream[idx];
         EXPECT_EQ(tpl.pc, pc);
         EXPECT_EQ(tpl.op, static_cast<std::uint8_t>(method.code[pc].op));
-        EXPECT_EQ(tpl.flatBase, t.decoded.edgeBase[tpl.block]);
+        EXPECT_EQ(tpl.flatBase, t.info.cfg.edgeBase[tpl.block]);
     }
 
     // Segment charges conserve the per-instruction totals.
@@ -193,7 +186,7 @@ TEST(TranslatorTest, FallthroughBlockEndsGetInjectedEdgeOps)
         EXPECT_EQ(tpl.fall, t.decoded.pcToTemplate[tpl.fallPc]);
         EXPECT_EQ(t.decoded.stream[tpl.fall].pc, tpl.fallPc);
         EXPECT_NE(tpl.fallBlock, tpl.block);
-        EXPECT_EQ(tpl.flatBase, t.decoded.edgeBase[tpl.block]);
+        EXPECT_EQ(tpl.flatBase, t.info.cfg.edgeBase[tpl.block]);
     }
     EXPECT_GT(fall_edges, 0u);
     EXPECT_EQ(t.decoded.stream.size(),
@@ -345,6 +338,115 @@ TEST(EngineParkResumeTest, MidBlockParksRoundTripIdentically)
         EXPECT_EQ(sw.parks, th.parks);
         EXPECT_EQ(sw.state, th.state);
     }
+}
+
+// ---- the one edge event ----------------------------------------------
+
+/** Every edge event as (method, version, src, index, flat id). */
+using EdgeEvent = std::array<std::uint32_t, 5>;
+
+/** Logs edge events and checks each flat id against the frame's
+ *  executing CFG. */
+struct EdgeLog : ExecutionHooks
+{
+    explicit EdgeLog(const Machine &machine) : machine_(machine) {}
+
+    void
+    onEdge(const FrameView &frame, cfg::EdgeRef edge,
+           std::uint32_t flat_id) override
+    {
+        const InlinedBody *inlined = frame.version->inlinedBody.get();
+        const bytecode::MethodCfg &cfg =
+            inlined ? inlined->info.cfg : machine_.info(frame.method).cfg;
+        if (flat_id != cfg.flatEdgeId(edge))
+            ++wrongIds;
+        if (inlined)
+            ++inlinedEvents;
+        events.push_back({frame.method, frame.version->version, edge.src,
+                          edge.index, flat_id});
+    }
+
+    const Machine &machine_;
+    std::vector<EdgeEvent> events;
+    std::uint64_t wrongIds = 0;
+    std::uint64_t inlinedEvents = 0;
+};
+
+/** A hot loop around an inlinable leaf with a branch of its own. */
+bytecode::Program
+hotLeafProgram()
+{
+    return bytecode::assembleOrDie(R"(
+.globals 0
+.method leaf 1 1 returns
+    iload 0
+    iconst 1
+    iand
+    ifeq even
+    iconst 3
+    ireturn
+even:
+    iconst 5
+    ireturn
+.end
+.method main 0 2
+    iconst 3000
+    istore 0
+loop:
+    iload 0
+    ifle done
+    iload 0
+    invoke leaf
+    iload 1
+    iadd
+    istore 1
+    iinc 0 -1
+    goto loop
+done:
+    return
+.end
+.main main
+)");
+}
+
+std::vector<EdgeEvent>
+edgeEventsOf(const bytecode::Program &p, EngineKind kind,
+             FuseOptions fuse)
+{
+    SimParams params = engineParams(kind);
+    params.enableInlining = true;
+    params.fuse = fuse;
+    Machine machine(p, params);
+    EdgeLog log(machine);
+    machine.addHooks(&log);
+    SwitchEveryYieldpoint scheduler;
+    machine.setScheduler(&scheduler);
+    for (int i = 0; i < 3; ++i) {
+        Interpreter interp(machine, 0);
+        interp.start(p.mainMethod);
+        std::uint64_t parks = 0;
+        while (!interp.resume())
+            ++parks;
+        EXPECT_GT(parks, 0u);
+    }
+    machine.setScheduler(nullptr);
+    EXPECT_EQ(log.wrongIds, 0u);
+    EXPECT_GT(log.inlinedEvents, 0u);
+    return log.events;
+}
+
+TEST(EngineEdgeEventTest, SameEdgesAndFlatIdsOnEveryEngine)
+{
+    // Both engines fire the one onEdge event with the CFG's dense id;
+    // parking at every yieldpoint, inlined bodies and fused streams
+    // must not change a single (edge, flat id) of the sequence.
+    const bytecode::Program p = hotLeafProgram();
+    const std::vector<EdgeEvent> reference =
+        edgeEventsOf(p, EngineKind::Switch, {});
+    EXPECT_GT(reference.size(), 10'000u);
+    EXPECT_TRUE(edgeEventsOf(p, EngineKind::Threaded, {}) == reference);
+    EXPECT_TRUE(edgeEventsOf(p, EngineKind::Threaded, {true, true}) ==
+                reference);
 }
 
 // ---- relayout + invalidation ----------------------------------------

@@ -427,8 +427,11 @@ TEST(FusionRuntimeCache, FuseOptionsArePartOfTheCacheKey)
     // pollution (and under `traces`, executably wrong batching).
     const bytecode::Program p = test::simpleLoopProgram();
 
+    // Start from no fusion whatever PEP_FUSE says: the sequence below
+    // counts retranslations from that starting selection.
     SimParams params;
     params.engine = EngineKind::Threaded;
+    params.fuse = FuseOptions{};
     Machine th(p, params);
     th.runIteration();
     EXPECT_EQ(th.stats().methodsDecoded, 1u);

@@ -152,6 +152,18 @@ struct BranchCase
     bool twoOperand;
 };
 
+// Printed as e.g. `if_icmplt(2,3)`. gtest would otherwise dump the raw
+// bytes, mnemonic pointer included, and ctest would name each case by
+// an address that changes with every run.
+void
+PrintTo(const BranchCase &c, std::ostream *os)
+{
+    *os << c.mnemonic << '(' << c.lhs;
+    if (c.twoOperand)
+        *os << ',' << c.rhs;
+    *os << ')';
+}
+
 class BranchSemantics : public ::testing::TestWithParam<BranchCase>
 {
 };

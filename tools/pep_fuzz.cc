@@ -3,12 +3,12 @@
  * pep-fuzz: differential fuzzing driver. Generates verifier-clean
  * random programs biased toward the shapes that stress path profiling
  * (nested loops, shared loop headers, switch fans, early returns, call
- * chains), runs each through the exact oracle, full BLPP (flat and
- * nested dispatch) and several PEP sampling configurations on one
- * deterministic Machine, and cross-checks the oracle invariants. On a
- * violation the built-in shrinker reduces the program while it still
- * reproduces and writes a minimal .pepasm reproducer to the corpus
- * directory, which the fuzz_regression_test replays forever.
+ * chains), runs each through the exact oracle, full BLPP and several
+ * PEP sampling configurations on one deterministic Machine, and
+ * cross-checks the oracle invariants. On a violation the built-in
+ * shrinker reduces the program while it still reproduces and writes a
+ * minimal .pepasm reproducer to the corpus directory, which the
+ * fuzz_regression_test replays forever.
  *
  * Usage:
  *   pep_fuzz [options]
@@ -27,7 +27,7 @@
  *     --loop-bias X        generator loop-heaviness in [0,1] (deeper
  *                          nesting, irregular trips, shared headers);
  *                          0 is the legacy byte-identical stream
- *     --inject KIND        none | stale-flat | corrupt-increment |
+ *     --inject KIND        none | corrupt-increment | stale-template |
  *                          truncated-window | ... — deliberately
  *                          corrupt the full profiler (harness
  *                          self-test)

@@ -10,7 +10,6 @@
  *
  *  - engine equivalence of every installed version (baked layouts
  *    included) plus cached-stream and mutation-journal audits;
- *  - flat-mirror audits of every instrumentation plan;
  *  - realizability of every recorded profile: ground-truth edge
  *    counts (flow conservation incl. headers), PEP's sampled
  *    continuous edge profile and the full profiler's path-derived
@@ -131,9 +130,6 @@ verifyEngineProfiles(const pep::vm::Machine &machine,
     for (const auto &[key, vp] : engine.versionProfiles()) {
         const std::string &name =
             machine.program().methods[key.first].name;
-        pep::analysis::auditPlanMirror(vp->state->plan, name,
-                                       /*has_version=*/true, key.second,
-                                       diagnostics);
         pep::analysis::KPathCheckInput kinput;
         kinput.plan = &vp->state->plan;
         kinput.kpath = &vp->state->kpath;
