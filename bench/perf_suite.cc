@@ -1,24 +1,24 @@
 /**
  * @file
- * Harness performance suite: times the simulator itself (not the
- * simulated programs) running the bench suite serially and fanned out.
+ * Harness suite: runs the bench suite serially and fanned out, and
+ * reports counts only.
  *
  *   1. serial suite run — every (benchmark, config) cell on one
- *      worker: wall-clock seconds and simulated cycles per second;
+ *      worker, reporting the simulated cycles;
  *   2. parallel suite run — the same cells fanned out over the cores
  *      via ParallelRunner, with a byte-identity check of the composed
  *      output against the serial order (the exit-status gate).
  *
- * The execution engines' dispatch speed is measured by perfbench's
- * ladder (`vm.threaded_speedup`, `vm.dispatch_ns_per_instr`), not
- * here; scripts/bench.sh judges it.
+ * Wall-clock speed is measured by perfbench's interleaved ladder
+ * (`vm.threaded_speedup`, `vm.dispatch_ns_per_instr`), not here: a
+ * single timed run per mode is too noisy to support a speed claim.
+ * scripts/bench.sh judges the ladder.
  *
  * Usage: perf_suite [output.json]   (default perf_suite.json)
  * PEP_BENCH_SCALE / PEP_BENCH_ONLY / PEP_BENCH_THREADS apply.
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -33,15 +33,7 @@ using namespace pep;
 
 namespace {
 
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-// ---- suite timing ----------------------------------------------------
+// ---- suite runs ------------------------------------------------------
 
 /** Output text plus simulated cycles of one suite cell. */
 struct CellResult
@@ -78,7 +70,6 @@ runCell(const workload::WorkloadSpec &spec, const vm::SimParams &params)
 
 struct SuiteRun
 {
-    double wallSeconds = 0.0;
     std::uint64_t simulatedCycles = 0;
     std::string output;
 };
@@ -89,12 +80,10 @@ runSuite(const std::vector<workload::WorkloadSpec> &suite,
 {
     std::vector<CellResult> slots(suite.size());
     const workload::ParallelRunner runner(workers);
-    const auto start = std::chrono::steady_clock::now();
     runner.run(suite.size(), [&](std::size_t i) {
         slots[i] = runCell(suite[i], params);
     });
     SuiteRun result;
-    result.wallSeconds = secondsSince(start);
     for (const CellResult &cell : slots) {
         result.output += cell.text;
         result.simulatedCycles += cell.cycles;
@@ -111,8 +100,7 @@ main(int argc, char **argv)
     const std::vector<workload::WorkloadSpec> suite =
         bench::benchSuite();
     // At least two workers even on a single-core box, so the threaded
-    // fan-out and the byte-identity check are actually exercised (the
-    // speedup field then honestly reports ~1.0).
+    // fan-out and the byte-identity check are actually exercised.
     const unsigned workers = std::max(
         2u, workload::ParallelRunner::defaultWorkers());
 
@@ -123,39 +111,21 @@ main(int argc, char **argv)
     const SuiteRun parallel = runSuite(suite, params, workers);
 
     const bool identical = serial.output == parallel.output;
-    const double serial_cps =
-        static_cast<double>(serial.simulatedCycles) /
-        serial.wallSeconds;
-    const double parallel_cps =
-        static_cast<double>(parallel.simulatedCycles) /
-        parallel.wallSeconds;
 
     std::printf("\nbenchmark        base(cyc)       pep(cyc)    "
                 "ratio\n%s\n",
                 serial.output.c_str());
-    std::printf("serial:   %.3f s wall, %.3g simulated cycles/s\n",
-                serial.wallSeconds, serial_cps);
-    std::printf("parallel: %.3f s wall, %.3g simulated cycles/s "
-                "(%.2fx, output %s)\n",
-                parallel.wallSeconds, parallel_cps,
-                serial.wallSeconds / parallel.wallSeconds,
+    std::printf("parallel output %s\n",
                 identical ? "identical" : "DIVERGES");
 
     bench::Report report("perf_suite");
     report.set("suite_cells", static_cast<double>(suite.size()),
                "count");
     report.set("workers", workers, "count");
-    report.set("serial.wall_seconds", serial.wallSeconds, "s");
     report.set("serial.simulated_cycles",
                static_cast<double>(serial.simulatedCycles), "count");
-    report.set("serial.simulated_cycles_per_sec", serial_cps, "1/s");
-    report.set("parallel.wall_seconds", parallel.wallSeconds, "s");
     report.set("parallel.simulated_cycles",
                static_cast<double>(parallel.simulatedCycles), "count");
-    report.set("parallel.simulated_cycles_per_sec", parallel_cps,
-               "1/s");
-    report.set("parallel.speedup",
-               serial.wallSeconds / parallel.wallSeconds, "x");
     report.check(identical,
                  "parallel suite output differs from the serial run");
     return report.write(argc > 1 ? argv[1] : "perf_suite.json");

@@ -3,8 +3,8 @@
 #
 # 1. The bench tables, each written by the shared reporter
 #    (bench/common/report.hh: correct/attempted/failed, dotted metrics,
-#    schema and host/build meta): perf_suite (serial vs parallel suite
-#    runs), tab_concurrency (cooperative scaling and worker-scaling
+#    schema and host/build meta): perf_suite (simulated-cycle counts and
+#    the serial vs parallel byte-identity gate), tab_concurrency (cooperative scaling and worker-scaling
 #    counts), tab_transport (the SPSC ring's drop accounting under
 #    sustained load and per capacity, drop-free identity), tab_kiter
 #    (k-BLPP windows) and tab_fusion (fused template streams and the

@@ -15,9 +15,9 @@
  *     numbering, and plan are built exactly as the profiling pipeline
  *     would and statically checked — both DAG modes, Direct and
  *     spanning-tree placement, Ball-Larus and smart numbering — and
- *     the method is translated for the threaded execution engine and
- *     its template stream checked against the CFG's edge numbering
- *     (plan-checker check 9, docs/ENGINE.md).
+ *     the method's template streams are proven equivalent to its
+ *     bytecode by verifyTranslations (analysis/verify/verify.hh, the
+ *     routine `pep_verify --static-only` runs).
  */
 
 #include <cstdint>
@@ -30,14 +30,8 @@ namespace pep::analysis {
 /** Which parts of the pipeline to run. */
 struct LintOptions
 {
-    bool runVerifier = true;
     bool runMethodPasses = true;
     bool runPlanChecks = true;
-
-    /** Also run the symbolic engine-equivalence pass over the threaded
-     *  engine's canonical translation of every method
-     *  (analysis/verify/engine_equiv.hh, `pep_lint --verify`). */
-    bool runVerifyPasses = false;
 
     /** Path-enumeration budget for the plan checker's semantic proof. */
     std::uint64_t simulateLimit = 4096;

@@ -6,10 +6,7 @@
 #include <sstream>
 
 #include "support/panic.hh"
-#include "vm/compiled_method.hh"
-#include "vm/decoded_method.hh"
 #include "vm/inliner.hh"
-#include "vm/machine.hh"
 
 namespace pep::analysis {
 
@@ -783,188 +780,6 @@ checkInstrumentationPlan(const PlanCheckInput &input,
     return checker.run();
 }
 
-// ---- check 9: template-stream fidelity --------------------------------
-
-bool
-checkTemplateStream(const TemplateCheckInput &in,
-                    DiagnosticList &diagnostics)
-{
-    PEP_ASSERT(in.code && in.cfg && in.plan && in.decoded);
-    const std::size_t before = diagnostics.errorCount();
-    const auto error = [&](const std::string &message) {
-        diagnostics.report(Severity::Error, "plan-check",
-                           in.methodName, message);
-    };
-    std::size_t mismatches = 0;
-    const auto capped = [&]() {
-        if (mismatches == kMaxPerCategory) {
-            diagnostics.report(Severity::Note, "plan-check",
-                               in.methodName,
-                               "further findings of this kind "
-                               "suppressed");
-        }
-        return mismatches++ >= kMaxPerCategory;
-    };
-
-    const vm::DecodedMethod &dm = *in.decoded;
-    const InstrumentationPlan &plan = *in.plan;
-    const bytecode::MethodCfg &cfg = *in.cfg;
-    const bytecode::Method &code = *in.code;
-    const vm::CompiledMethod &cm = *dm.source;
-
-    // 9a. Templates burn in bases of the CFG's dense edge numbering
-    // (check 8 proves it), and `flatBase + successor` must index the
-    // plan's table.
-    if (cfg.edgeBase.size() != cfg.graph.numBlocks() + 1) {
-        error("CFG edgeBase has wrong arity");
-        return diagnostics.errorCount() == before;
-    }
-    if (plan.enabled && plan.flatEdgeActions.size() != cfg.numEdges()) {
-        std::ostringstream os;
-        os << "templates address " << cfg.numEdges()
-           << " flat edges but the plan holds "
-           << plan.flatEdgeActions.size();
-        error(os.str());
-        return diagnostics.errorCount() == before;
-    }
-
-    // 9b. Every pc maps to a template that re-encodes exactly that
-    // instruction: opcode (or, for fused/guard templates, a synthetic
-    // top covering it — check 12 proves the composition), block, the
-    // block's flat base and the version's branch layout.
-    if (dm.pcToTemplate.size() != code.code.size()) {
-        error("pcToTemplate has wrong arity");
-        return diagnostics.errorCount() == before;
-    }
-    for (bytecode::Pc pc = 0; pc < code.code.size(); ++pc) {
-        const std::uint32_t tpl = dm.pcToTemplate[pc];
-        if (tpl >= dm.stream.size()) {
-            std::ostringstream os;
-            os << "pc " << pc << " maps to template " << tpl
-               << " outside the stream";
-            error(os.str());
-            return diagnostics.errorCount() == before;
-        }
-        const vm::Template &t = dm.stream[tpl];
-        const cfg::BlockId block = cfg.blockOfPc[pc];
-        bool op_ok;
-        if (vm::isFusedTop(t.op)) {
-            // Constituent coverage: pc inside the fused span.
-            op_ok = t.pc <= pc && pc < t.pc + t.fuseLen;
-        } else if (vm::isGuardTop(t.op)) {
-            op_ok = t.pc == pc &&
-                    vm::branchOpcodeOfTop(t.op) == code.code[pc].op;
-        } else {
-            op_ok = t.pc == pc &&
-                    t.op == static_cast<std::uint8_t>(code.code[pc].op);
-        }
-        if ((!op_ok || t.block != block ||
-             t.flatBase != cfg.edgeBase[block] ||
-             t.layout != cm.layoutFor(block)) &&
-            !capped()) {
-            std::ostringstream os;
-            os << "template for pc " << pc
-               << " disagrees with the instruction it pre-decodes "
-                  "(stale translation?)";
-            error(os.str());
-        }
-    }
-
-    // 9c. Control transfers must resolve to their targets' templates,
-    // and injected fall-through boundaries must address their block's
-    // single CFG edge.
-    const auto check_target = [&](const vm::Template &t,
-                                  bytecode::Pc target_pc,
-                                  std::uint32_t target_tpl,
-                                  cfg::BlockId target_block,
-                                  const char *what) {
-        if (target_pc >= code.code.size()) {
-            if (!capped())
-                error(std::string(what) + " target pc out of range");
-            return;
-        }
-        if ((target_tpl != dm.pcToTemplate[target_pc] ||
-             target_block != cfg.blockOfPc[target_pc]) &&
-            !capped()) {
-            std::ostringstream os;
-            os << what << " target of the template at pc " << t.pc
-               << " does not resolve to pc " << target_pc
-               << "'s template";
-            error(os.str());
-        }
-    };
-    for (const vm::Template &t : dm.stream) {
-        const auto op = static_cast<bytecode::Opcode>(t.op);
-        if (static_cast<std::size_t>(t.block) + 1 >=
-                cfg.edgeBase.size() ||
-            t.flatBase != cfg.edgeBase[t.block]) {
-            if (!capped()) {
-                std::ostringstream os;
-                os << "template at pc " << t.pc
-                   << " carries flat base " << t.flatBase
-                   << " for block " << t.block;
-                error(os.str());
-            }
-            continue;
-        }
-        if (t.op == vm::kTopFallEdge || t.op == vm::kTopTraceFall) {
-            check_target(t, t.fallPc, t.fall, t.fallBlock,
-                         "fall-through");
-            if (cfg.graph.succs(t.block).size() != 1 && !capped()) {
-                std::ostringstream os;
-                os << "fall-edge template at pc " << t.pc
-                   << " fires edge " << t.flatBase
-                   << " but block " << t.block << " has "
-                   << cfg.graph.succs(t.block).size() << " successors";
-                error(os.str());
-            }
-        } else if (vm::isGuardTop(t.op) || vm::isFusedBranchTop(t.op)) {
-            check_target(t, t.takenPc, t.taken, t.takenBlock, "taken");
-            check_target(t, t.fallPc, t.fall, t.fallBlock,
-                         "fall-through");
-        } else if (op == bytecode::Opcode::Goto) {
-            check_target(t, t.takenPc, t.taken, t.takenBlock, "taken");
-        } else if (op == bytecode::Opcode::Tableswitch) {
-            if (t.swFirst + t.swCount + 1 > dm.switchCases.size()) {
-                if (!capped())
-                    error("switch case slice out of range");
-                continue;
-            }
-            for (std::uint32_t i = 0; i <= t.swCount; ++i) {
-                const vm::SwitchCase &sc =
-                    dm.switchCases[t.swFirst + i];
-                check_target(t, sc.pc, sc.tpl, sc.block, "switch");
-            }
-        } else if (bytecode::isCondBranch(op)) {
-            check_target(t, t.takenPc, t.taken, t.takenBlock, "taken");
-            check_target(t, t.fallPc, t.fall, t.fallBlock,
-                         "fall-through");
-        }
-    }
-
-    // 9d. Segment folding conserves the version's scaled costs: the
-    // stream charges exactly the cycles and instruction count the
-    // switch engine would charge one instruction at a time.
-    std::uint64_t want_cost = 0;
-    for (const bytecode::Instr &instr : code.code)
-        want_cost += cm.scaledCost[static_cast<std::size_t>(instr.op)];
-    std::uint64_t got_cost = 0;
-    std::uint64_t got_ninstr = 0;
-    for (const vm::Template &t : dm.stream) {
-        got_cost += t.cost;
-        got_ninstr += t.ninstr;
-    }
-    if (got_cost != want_cost || got_ninstr != code.code.size()) {
-        std::ostringstream os;
-        os << "segment charges sum to " << got_cost << " cycles / "
-           << got_ninstr << " instructions but the code costs "
-           << want_cost << " / " << code.code.size();
-        error(os.str());
-    }
-
-    return diagnostics.errorCount() == before;
-}
-
 bool
 checkKPathScheme(const KPathCheckInput &in, DiagnosticList &diagnostics)
 {
@@ -1098,7 +913,9 @@ checkClonedBody(const CloneCheckInput &in, DiagnosticList &diagnostics)
     }
 
     // 11a. OSR contract: the original code region is unmoved, so the
-    // rootPcMap must be the identity over it.
+    // rootPcMap must be the identity over it. (The interpreter still
+    // declines a transfer whose pc no longer leads a loop header in
+    // the clone's code.)
     const std::size_t original_size = original.blockOfPc.size();
     if (in.body->rootPcMap.size() != original_size) {
         std::ostringstream os;
@@ -1193,281 +1010,6 @@ checkClonedBody(const CloneCheckInput &in, DiagnosticList &diagnostics)
                << " — per-index counter sharing is ill-defined";
             error(os.str());
             ++findings;
-        }
-    }
-
-    return diagnostics.errorCount() == before;
-}
-
-// ---- check 12: fused-stream composition -------------------------------
-
-bool
-checkFusedStream(const FusedCheckInput &in, DiagnosticList &diagnostics)
-{
-    PEP_ASSERT(in.decoded && in.decoded->code && in.decoded->info &&
-               in.decoded->source);
-    const std::size_t before = diagnostics.errorCount();
-    const auto error = [&](const std::string &message) {
-        diagnostics.report(Severity::Error, "plan-check",
-                           in.methodName, message);
-    };
-    std::size_t mismatches = 0;
-    const auto capped = [&]() {
-        if (mismatches == kMaxPerCategory) {
-            diagnostics.report(Severity::Note, "plan-check",
-                               in.methodName,
-                               "further findings of this kind "
-                               "suppressed");
-        }
-        return mismatches++ >= kMaxPerCategory;
-    };
-
-    const vm::DecodedMethod &dm = *in.decoded;
-    const bytecode::Method &code = *dm.code;
-    const vm::MethodInfo &info = *dm.info;
-    const bytecode::MethodCfg &cfg = info.cfg;
-    const vm::CompiledMethod &cm = *dm.source;
-    const std::size_t n = code.code.size();
-
-    if (dm.pcToTemplate.size() != n) {
-        error("pcToTemplate has wrong arity");
-        return diagnostics.errorCount() == before;
-    }
-    for (bytecode::Pc pc = 0; pc < n; ++pc) {
-        if (dm.pcToTemplate[pc] >= dm.stream.size()) {
-            error("pcToTemplate points outside the stream");
-            return diagnostics.errorCount() == before;
-        }
-    }
-
-    // 12a. Mode gating: synthetic tops may only appear under the
-    // fusion selection that produces them, and vice versa for the
-    // trace tables.
-    for (const vm::Template &t : dm.stream) {
-        if (vm::isFusedTop(t.op) && !dm.fuse.pairs) {
-            error("fused superinstruction present without fuse.pairs");
-            return diagnostics.errorCount() == before;
-        }
-        if ((vm::isGuardTop(t.op) || t.op == vm::kTopTraceFall) &&
-            !dm.fuse.traces) {
-            error("trace template present without fuse.traces");
-            return diagnostics.errorCount() == before;
-        }
-    }
-    if (!dm.fuse.traces && !dm.traces.empty()) {
-        error("trace table present without fuse.traces");
-        return diagnostics.errorCount() == before;
-    }
-
-    // 12b. Trace selection determinism: the recorded chains must be
-    // exactly what selection derives from (code, layout, fuse).
-    const std::vector<std::vector<cfg::BlockId>> want_traces =
-        vm::selectTraces(code, info, cm, dm.fuse);
-    if (dm.traces != want_traces) {
-        std::ostringstream os;
-        os << "trace table holds " << dm.traces.size()
-           << " chains but selection derives " << want_traces.size()
-           << " (stale or tampered trace selection)";
-        error(os.str());
-        return diagnostics.errorCount() == before;
-    }
-    if (dm.blockTrace.size() !=
-        (dm.fuse.traces ? cfg.graph.numBlocks() : dm.blockTrace.size())) {
-        error("blockTrace has wrong arity");
-        return diagnostics.errorCount() == before;
-    }
-    for (std::size_t ti = 0; ti < dm.traces.size(); ++ti) {
-        for (cfg::BlockId b : dm.traces[ti]) {
-            if (b >= dm.blockTrace.size() ||
-                dm.blockTrace[b] != static_cast<std::int32_t>(ti)) {
-                error("blockTrace disagrees with the trace table");
-                return diagnostics.errorCount() == before;
-            }
-        }
-    }
-
-    // Segment leaders, re-derived: block leaders plus post-Invoke
-    // resume points (the fusion barrier).
-    std::vector<bool> seg_leader(n, false);
-    if (n > 0)
-        seg_leader[0] = true;
-    for (bytecode::Pc pc = 0; pc < n; ++pc) {
-        if (info.leaderPc[pc])
-            seg_leader[pc] = true;
-        if (code.code[pc].op == bytecode::Opcode::Invoke && pc + 1 < n)
-            seg_leader[pc + 1] = true;
-    }
-
-    // 12c. Fused composition: every fused template is the fusion-menu
-    // match at its pc, covers exactly its constituent pcs, stays inside
-    // one segment, and burns in the constituents' operands; every
-    // guard is a conditional branch at an interior trace exit.
-    for (std::size_t i = 0; i < dm.stream.size(); ++i) {
-        const vm::Template &t = dm.stream[i];
-        if (vm::isFusedTop(t.op)) {
-            const vm::FusionMatch m = vm::matchFusion(code, t.pc);
-            if ((m.top != t.op || m.len != t.fuseLen ||
-                 m.sub != t.sub) &&
-                !capped()) {
-                std::ostringstream os;
-                os << "fused template at pc " << t.pc << " (top "
-                   << static_cast<unsigned>(t.op)
-                   << ") is not the fusion-menu match for its "
-                      "constituents";
-                error(os.str());
-                continue;
-            }
-            bool span_ok = t.pc + t.fuseLen <= n;
-            for (std::uint8_t j = 0; span_ok && j < t.fuseLen; ++j) {
-                if (dm.pcToTemplate[t.pc + j] != i ||
-                    cfg.blockOfPc[t.pc + j] != t.block)
-                    span_ok = false;
-                if (j > 0 && seg_leader[t.pc + j])
-                    span_ok = false;
-            }
-            if (!span_ok && !capped()) {
-                std::ostringstream os;
-                os << "fused template at pc " << t.pc
-                   << " crosses a segment boundary or its "
-                      "constituent pcs do not map back to it";
-                error(os.str());
-                continue;
-            }
-            // Operand burn-in (see Template field notes).
-            bool ops_ok = t.a == code.code[t.pc].a;
-            if (t.fuseLen == 3 || t.op == vm::kTopConstStore ||
-                t.op == vm::kTopLoadStore || t.op == vm::kTopLoadLoad)
-                ops_ok = ops_ok && t.b == code.code[t.pc + 1].a;
-            if (vm::isFusedBranchTop(t.op)) {
-                const bytecode::Pc last = t.pc + t.fuseLen - 1;
-                ops_ok = ops_ok &&
-                         t.takenPc == static_cast<bytecode::Pc>(
-                                          code.code[last].a) &&
-                         t.fallPc == last + 1;
-            }
-            if (!ops_ok && !capped()) {
-                std::ostringstream os;
-                os << "fused template at pc " << t.pc
-                   << " burned in operands that disagree with its "
-                      "constituent instructions";
-                error(os.str());
-            }
-        } else if (vm::isGuardTop(t.op)) {
-            const bytecode::Opcode want_op = vm::branchOpcodeOfTop(t.op);
-            if ((t.fuseLen != 1 || t.pc >= n ||
-                 code.code[t.pc].op != want_op ||
-                 t.sub != static_cast<std::uint8_t>(want_op)) &&
-                !capped()) {
-                std::ostringstream os;
-                os << "guard template at pc " << t.pc
-                   << " does not encode the branch instruction at "
-                      "that pc";
-                error(os.str());
-                continue;
-            }
-            // Guards exist only at interior exits of a trace whose
-            // layout predicts fall-through.
-            const std::int32_t ti = t.block < dm.blockTrace.size()
-                                        ? dm.blockTrace[t.block]
-                                        : -1;
-            const bool interior =
-                ti >= 0 &&
-                dm.traces[static_cast<std::size_t>(ti)].back() !=
-                    t.block &&
-                cfg.lastPc[t.block] == t.pc;
-            if ((!interior || cm.layoutFor(t.block) == 1) && !capped()) {
-                std::ostringstream os;
-                os << "guard template at pc " << t.pc
-                   << " is not an interior predicted-fall-through "
-                      "trace exit";
-                error(os.str());
-            }
-        }
-    }
-
-    // 12d. Trace charge batching: the head leader charges the chain's
-    // whole switch-engine cost, interior leaders charge zero, interior
-    // branches are guards refunding exactly the unexecuted suffix, and
-    // interior fall-through ends are TraceFall templates.
-    for (std::size_t ti = 0; ti < dm.traces.size(); ++ti) {
-        const std::vector<cfg::BlockId> &chain = dm.traces[ti];
-        std::vector<std::uint64_t> member_cost(chain.size());
-        std::vector<std::uint64_t> member_ninstr(chain.size());
-        std::uint64_t total_cost = 0;
-        std::uint64_t total_ninstr = 0;
-        for (std::size_t i = 0; i < chain.size(); ++i) {
-            const cfg::BlockId b = chain[i];
-            for (bytecode::Pc pc = cfg.firstPc[b]; pc <= cfg.lastPc[b];
-                 ++pc) {
-                member_cost[i] += cm.scaledCost[static_cast<std::size_t>(
-                    code.code[pc].op)];
-            }
-            member_ninstr[i] = cfg.lastPc[b] - cfg.firstPc[b] + 1;
-            total_cost += member_cost[i];
-            total_ninstr += member_ninstr[i];
-        }
-        for (std::size_t i = 0; i < chain.size(); ++i) {
-            const cfg::BlockId b = chain[i];
-            const vm::Template &lt =
-                dm.stream[dm.pcToTemplate[cfg.firstPc[b]]];
-            const std::uint64_t want_cost = i == 0 ? total_cost : 0;
-            const std::uint64_t want_ninstr = i == 0 ? total_ninstr : 0;
-            if ((lt.cost != want_cost || lt.ninstr != want_ninstr) &&
-                !capped()) {
-                std::ostringstream os;
-                os << "trace " << ti << " member block " << b
-                   << " charges " << lt.cost << " cycles / "
-                   << lt.ninstr << " instructions, want " << want_cost
-                   << " / " << want_ninstr
-                   << " (trace batching broken)";
-                error(os.str());
-            }
-        }
-        std::uint64_t suffix_cost = total_cost;
-        std::uint64_t suffix_ninstr = total_ninstr;
-        for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-            suffix_cost -= member_cost[i];
-            suffix_ninstr -= member_ninstr[i];
-            const cfg::BlockId b = chain[i];
-            const bytecode::Pc end_pc = cfg.lastPc[b];
-            const vm::Template &et = dm.stream[dm.pcToTemplate[end_pc]];
-            if (cfg.terminator[b] == bytecode::TerminatorKind::Cond) {
-                if (!vm::isGuardTop(et.op)) {
-                    if (!capped()) {
-                        std::ostringstream os;
-                        os << "interior branch of trace " << ti
-                           << " at pc " << end_pc
-                           << " is not a guard template";
-                        error(os.str());
-                    }
-                    continue;
-                }
-                if ((et.swFirst != suffix_cost ||
-                     et.swCount != suffix_ninstr) &&
-                    !capped()) {
-                    std::ostringstream os;
-                    os << "guard at pc " << end_pc << " refunds "
-                       << et.swFirst << " cycles / " << et.swCount
-                       << " instructions, want " << suffix_cost
-                       << " / " << suffix_ninstr;
-                    error(os.str());
-                }
-            } else {
-                // The TraceFall boundary directly follows the
-                // block-end instruction's template.
-                const std::uint32_t end_tpl = dm.pcToTemplate[end_pc];
-                const bool tf_ok =
-                    end_tpl + 1 < dm.stream.size() &&
-                    dm.stream[end_tpl + 1].op == vm::kTopTraceFall &&
-                    dm.stream[end_tpl + 1].block == b;
-                if (!tf_ok && !capped()) {
-                    std::ostringstream os;
-                    os << "interior fall-through end of trace " << ti
-                       << " at pc " << end_pc
-                       << " is not a TraceFall template";
-                    error(os.str());
-                }
-            }
         }
     }
 

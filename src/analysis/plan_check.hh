@@ -35,15 +35,9 @@
  *     and the plan's flatEdgeActions holds one action per edge. Run
  *     first, since checks 4 and 7 read the plan through these ids —
  *     so they reason about exactly the table the engines execute.
- *  9. Template-stream fidelity (checkTemplateStream, docs/ENGINE.md):
- *     the threaded engine's pre-decoded template stream agrees
- *     memberwise with the CFG and the plan — the flat-edge base
- *     burned into every template equals the CFG's edgeBase for its
- *     block (so `flatBase + successor` is the edge's flatEdgeId),
- *     every pc maps to a template carrying its opcode, block and
- *     branch layout, control transfers resolve to their targets'
- *     templates, and the folded segment charges conserve the
- *     version's scaled costs.
+ *  9. (unassigned: check numbers are stable ids that docs and
+ *     diagnostics refer to. Template-stream fidelity moved to the
+ *     engine-equivalence pass, analysis/verify/engine_equiv.hh.)
  * 10. k-path id-space audit (checkKPathScheme, docs/KBLPP.md): a
  *     version's KPathScheme must be the arithmetically exact id space
  *     over its plan — base equals the enabled plan's totalPaths, the
@@ -59,19 +53,14 @@
  *     terminator kind and successor arity (so per-index counter
  *     sharing is well-defined), only synthesized glue Gotos may lack
  *     an origin, and the rootPcMap is the identity over the original
- *     code region (the OSR contract for clones). Combined with checks
- *     1-10 over the synthesized CFG's own plan, this validates
- *     cloned-CFG instrumentation end to end.
- * 12. Fused-stream composition (checkFusedStream, docs/ENGINE.md): a
- *     stream translated under PEP_FUSE must compose exactly from its
- *     constituents — every fused superinstruction is the deterministic
- *     fusion-menu match at its pc with the constituents' operands
- *     burned in and every constituent pc mapping back to it; trace
- *     selection is reproducible from (code, layout, fuse); trace
- *     charge batching conserves the switch engine's per-block costs
- *     (head carries the chain total, interiors zero, guards refund
- *     exactly the unexecuted suffix); and synthetic tops appear only
- *     under the fusion mode that produces them.
+ *     code region (the OSR contract for clones; OSR further needs
+ *     the frame's header pc to still lead a loop header in the
+ *     clone's code, and declines the transfer when a clone that
+ *     retargeted the loop's back edge left it mid-block). Combined
+ *     with checks 1-10 over the synthesized CFG's own plan, this
+ *     validates cloned-CFG instrumentation end to end.
+ * 12. (unassigned: fused-stream composition moved to the
+ *     engine-equivalence pass with check 9.)
  *
  * All violations are reported as diagnostics (pass "plan-check"), not
  * panics, so a lint run can show every broken invariant at once.
@@ -89,7 +78,6 @@
 #include "profile/spanning_placement.hh"
 
 namespace pep::vm {
-struct DecodedMethod;
 struct InlinedBody;
 }
 
@@ -127,29 +115,6 @@ struct PlanCheckInput
  */
 bool checkInstrumentationPlan(const PlanCheckInput &input,
                               DiagnosticList &diagnostics);
-
-/** Everything the template-stream check inspects (check 9). `code`
- *  and `cfg` must be the code the stream executes (the inlined body's
- *  when the version has one). */
-struct TemplateCheckInput
-{
-    const bytecode::Method *code = nullptr;
-    const bytecode::MethodCfg *cfg = nullptr;
-    const profile::InstrumentationPlan *plan = nullptr;
-    const vm::DecodedMethod *decoded = nullptr;
-
-    /** Method name used in diagnostics. */
-    std::string methodName;
-};
-
-/**
- * Check 9: prove a translated template stream (vm/decoded_method.hh)
- * is memberwise-consistent with the CFG's edge numbering and the
- * plan's edge table. Static counterpart of the fuzzer's engine
- * cross-check. Returns true if no errors were added.
- */
-bool checkTemplateStream(const TemplateCheckInput &input,
-                         DiagnosticList &diagnostics);
 
 /** Everything the k-path id-space audit inspects (check 10). */
 struct KPathCheckInput
@@ -195,26 +160,6 @@ struct CloneCheckInput
  */
 bool checkClonedBody(const CloneCheckInput &input,
                      DiagnosticList &diagnostics);
-
-/** Everything the fused-stream audit inspects (check 12). The
- *  DecodedMethod's own `code`/`info`/`source` back-pointers supply the
- *  constituents the composition is proved against. */
-struct FusedCheckInput
-{
-    const vm::DecodedMethod *decoded = nullptr;
-
-    /** Method name used in diagnostics. */
-    std::string methodName;
-};
-
-/**
- * Check 12: prove a fused/straightened template stream composes
- * exactly from its constituent opcode templates (docs/ENGINE.md).
- * Complements check 9, which validates the per-instruction fields
- * fusion leaves untouched. Returns true if no errors were added.
- */
-bool checkFusedStream(const FusedCheckInput &input,
-                      DiagnosticList &diagnostics);
 
 } // namespace pep::analysis
 

@@ -50,11 +50,21 @@ class EquivChecker
         const std::size_t before = diags_.errorCount();
         if (!checkStreamShape())
             return diags_.errorCount() == before;
+        checkEncoding();
         sumTemplateCharges();
         checkTraceShape();
+        checkFusion();
         for (cfg::BlockId b = 0; b < cfg_.graph.numBlocks(); ++b) {
-            if (cfg_.isCodeBlock(b))
+            if (cfg_.isCodeBlock(b)) {
                 checkBlock(b);
+            } else if ((tplCost_[b] != 0 || tplNinstr_[b] != 0) &&
+                       !capped(costMismatches_)) {
+                std::ostringstream os;
+                os << "templates charge " << tplCost_[b] << " cycles / "
+                   << tplNinstr_[b] << " instructions to block " << b
+                   << ", which holds no code";
+                error("segment-cost", os.str());
+            }
         }
         checkTraces();
         return diags_.errorCount() == before;
@@ -114,12 +124,20 @@ class EquivChecker
 
     // ---- prerequisites ------------------------------------------------
 
-    /** The pc->template map must cover the code and stay in bounds;
-     *  everything below indexes through it. */
+    /** The pc->template map must cover the code and stay in bounds,
+     *  and the CFG's numbering must cover its blocks; everything below
+     *  indexes through them. */
     bool
     checkStreamShape()
     {
         const std::size_t n = code_.code.size();
+        if (cfg_.edgeBase.size() != cfg_.graph.numBlocks() + 1) {
+            std::ostringstream os;
+            os << "CFG edgeBase has " << cfg_.edgeBase.size()
+               << " entries for " << cfg_.graph.numBlocks() << " blocks";
+            error("stream-shape", os.str());
+            return false;
+        }
         if (dm_.pcToTemplate.size() != n) {
             std::ostringstream os;
             os << "pcToTemplate has " << dm_.pcToTemplate.size()
@@ -147,6 +165,76 @@ class EquivChecker
             }
         }
         return true;
+    }
+
+    // ---- per-instruction encoding -----------------------------------
+
+    /**
+     * Every template burns in its block's flat-edge base (so
+     * `flatBase + successor` is the edge's flat id), injected
+     * fall-through ends address their block's single CFG edge, and
+     * every pc maps to a template that re-encodes exactly that
+     * instruction: its opcode (or a fused or guard top covering it,
+     * proven by checkFusion), its block, and the version's layout for
+     * that block.
+     */
+    void
+    checkEncoding()
+    {
+        for (const vm::Template &t : dm_.stream) {
+            if (t.flatBase != cfg_.edgeBase[t.block] &&
+                !capped(encodingMismatches_)) {
+                std::ostringstream os;
+                os << "template at pc " << t.pc << " carries flat base "
+                   << t.flatBase << " but block " << t.block
+                   << "'s edges start at " << cfg_.edgeBase[t.block];
+                errorAtPc("encoding", t.pc, os.str());
+            }
+            if ((t.op == vm::kTopFallEdge || t.op == vm::kTopTraceFall) &&
+                cfg_.graph.succs(t.block).size() != 1 &&
+                !capped(exitMismatches_)) {
+                std::ostringstream os;
+                os << "fall-edge template at pc " << t.pc
+                   << " fires edge " << t.flatBase << " but block "
+                   << t.block << " has "
+                   << cfg_.graph.succs(t.block).size() << " successors";
+                errorAtPc("control-exit", t.pc, os.str());
+            }
+        }
+        for (bytecode::Pc pc = 0; pc < code_.code.size(); ++pc) {
+            const vm::Template &t = dm_.stream[dm_.pcToTemplate[pc]];
+            const cfg::BlockId block = cfg_.blockOfPc[pc];
+            bool op_ok;
+            if (vm::isFusedTop(t.op)) {
+                op_ok = t.pc <= pc && pc < t.pc + t.fuseLen;
+            } else if (vm::isGuardTop(t.op)) {
+                op_ok = t.pc == pc &&
+                        vm::branchOpcodeOfTop(t.op) == code_.code[pc].op;
+            } else {
+                op_ok = t.pc == pc &&
+                        t.op == static_cast<std::uint8_t>(
+                                    code_.code[pc].op);
+            }
+            if ((!op_ok || t.block != block) &&
+                !capped(encodingMismatches_)) {
+                std::ostringstream os;
+                os << "template for pc " << pc << " (top "
+                   << static_cast<unsigned>(t.op) << ", pc " << t.pc
+                   << ", block " << t.block
+                   << ") disagrees with the instruction it pre-decodes "
+                      "(stale translation?)";
+                errorAtPc("encoding", pc, os.str());
+            }
+            if (t.layout != cm_.layoutFor(block) &&
+                !capped(layoutMismatches_)) {
+                std::ostringstream os;
+                os << "template layout " << t.layout
+                   << " != installed branchLayout "
+                   << cm_.layoutFor(block)
+                   << " (stale template: layout misses diverge)";
+                errorAtPc("layout", pc, os.str());
+            }
+        }
     }
 
     // ---- per-block charge sums ---------------------------------------
@@ -194,12 +282,22 @@ class EquivChecker
     }
 
     /** traces / blockTrace must describe each other before the charge
-     *  comparisons lean on them. */
+     *  comparisons lean on them, and the chains must be exactly what
+     *  trace selection derives from (code, layout, fuse). */
     void
     checkTraceShape()
     {
         tracesUsable_ = true;
-        if (dm_.traces.empty() && dm_.blockTrace.empty())
+        if (vm::selectTraces(code_, *in_.info, cm_, dm_.fuse) !=
+            dm_.traces) {
+            std::ostringstream os;
+            os << "trace table holds " << dm_.traces.size()
+               << " chains that trace selection does not derive "
+                  "(stale or tampered trace selection)";
+            error("trace-select", os.str());
+        }
+        if (dm_.traces.empty() && dm_.blockTrace.empty() &&
+            !dm_.fuse.traces)
             return;
         if (dm_.blockTrace.size() != cfg_.graph.numBlocks()) {
             std::ostringstream os;
@@ -244,6 +342,141 @@ class EquivChecker
         }
     }
 
+    /** Segment leaders, re-derived: block leaders plus post-Invoke
+     *  resume points. Fusion never spans one. */
+    bool
+    segmentLeader(bytecode::Pc pc) const
+    {
+        return pc == 0 || in_.info->leaderPc[pc] ||
+               code_.code[pc - 1].op == Opcode::Invoke;
+    }
+
+    /**
+     * Fused templates and guards compose exactly from their
+     * constituents. Synthetic tops appear only under the fusion
+     * selection that produces them; every fused template is the
+     * fusion-menu match at its pc, stays inside one segment, has every
+     * constituent pc map back to it, and burns in the constituents'
+     * operands; every guard encodes the branch at its pc and sits at
+     * an interior predicted-fall-through exit of its trace.
+     */
+    void
+    checkFusion()
+    {
+        const std::size_t n = code_.code.size();
+        bool fused_seen = false;
+        bool trace_seen = !dm_.traces.empty();
+        for (const vm::Template &t : dm_.stream) {
+            fused_seen = fused_seen || vm::isFusedTop(t.op);
+            trace_seen = trace_seen || vm::isGuardTop(t.op) ||
+                         t.op == vm::kTopTraceFall;
+        }
+        if (fused_seen && !dm_.fuse.pairs)
+            error("fusion-mode",
+                  "fused superinstruction present without fuse.pairs");
+        if (trace_seen && !dm_.fuse.traces)
+            error("fusion-mode",
+                  "trace template or table present without "
+                  "fuse.traces");
+
+        for (std::size_t i = 0; i < dm_.stream.size(); ++i) {
+            const vm::Template &t = dm_.stream[i];
+            if (vm::isFusedTop(t.op))
+                checkFusedTemplate(t, i, n);
+            else if (vm::isGuardTop(t.op))
+                checkGuardTemplate(t, n);
+        }
+    }
+
+    void
+    checkFusedTemplate(const vm::Template &t, std::size_t index,
+                       std::size_t n)
+    {
+        const vm::FusionMatch m = t.pc < n ? vm::matchFusion(code_, t.pc)
+                                           : vm::FusionMatch{};
+        if (m.top != t.op || m.len != t.fuseLen || m.sub != t.sub) {
+            if (!capped(fusionMismatches_)) {
+                std::ostringstream os;
+                os << "fused template at pc " << t.pc << " (top "
+                   << static_cast<unsigned>(t.op)
+                   << ") is not the fusion-menu match for its "
+                      "constituents";
+                errorAtPc("fusion", t.pc, os.str());
+            }
+            return;
+        }
+        bool span_ok = t.pc + t.fuseLen <= n;
+        for (std::uint8_t j = 0; span_ok && j < t.fuseLen; ++j) {
+            if (dm_.pcToTemplate[t.pc + j] != index ||
+                cfg_.blockOfPc[t.pc + j] != t.block ||
+                (j > 0 && segmentLeader(t.pc + j)))
+                span_ok = false;
+        }
+        if (!span_ok) {
+            if (!capped(fusionMismatches_)) {
+                std::ostringstream os;
+                os << "fused template at pc " << t.pc
+                   << " crosses a segment boundary or its "
+                      "constituent pcs do not map back to it";
+                errorAtPc("fusion", t.pc, os.str());
+            }
+            return;
+        }
+        // Operand burn-in (see the Template field notes).
+        bool ops_ok = t.a == code_.code[t.pc].a;
+        if (t.fuseLen == 3 || t.op == vm::kTopConstStore ||
+            t.op == vm::kTopLoadStore || t.op == vm::kTopLoadLoad)
+            ops_ok = ops_ok && t.b == code_.code[t.pc + 1].a;
+        if (vm::isFusedBranchTop(t.op)) {
+            const bytecode::Pc last = t.pc + t.fuseLen - 1;
+            ops_ok = ops_ok &&
+                     t.takenPc ==
+                         static_cast<bytecode::Pc>(code_.code[last].a) &&
+                     t.fallPc == last + 1;
+        }
+        if (!ops_ok && !capped(fusionMismatches_)) {
+            std::ostringstream os;
+            os << "fused template at pc " << t.pc
+               << " burned in operands that disagree with its "
+                  "constituent instructions";
+            errorAtPc("fusion", t.pc, os.str());
+        }
+    }
+
+    void
+    checkGuardTemplate(const vm::Template &t, std::size_t n)
+    {
+        const Opcode want = vm::branchOpcodeOfTop(t.op);
+        if (t.fuseLen != 1 || t.pc >= n || code_.code[t.pc].op != want ||
+            t.sub != static_cast<std::uint8_t>(want)) {
+            if (!capped(traceMismatches_)) {
+                std::ostringstream os;
+                os << "guard template at pc " << t.pc
+                   << " does not encode the branch instruction at "
+                      "that pc";
+                errorAtPc("trace-guard", t.pc, os.str());
+            }
+            return;
+        }
+        if (!tracesUsable_)
+            return; // trace-shape errors already reported
+        const std::int32_t ti = t.block < dm_.blockTrace.size()
+                                    ? dm_.blockTrace[t.block]
+                                    : -1;
+        const bool interior =
+            ti >= 0 &&
+            dm_.traces[static_cast<std::size_t>(ti)].back() != t.block &&
+            cfg_.lastPc[t.block] == t.pc;
+        if ((!interior || cm_.layoutFor(t.block) == 1) &&
+            !capped(traceMismatches_)) {
+            std::ostringstream os;
+            os << "guard template at pc " << t.pc
+               << " is not an interior predicted-fall-through trace "
+                  "exit";
+            errorAtPc("trace-guard", t.pc, os.str());
+        }
+    }
+
     /**
      * Trace-granularity charge equivalence: the head leader carries the
      * whole chain's switch-engine cost, interior leaders carry zero,
@@ -271,14 +504,19 @@ class EquivChecker
                 total_ninstr += member_ninstr[i];
             }
             const cfg::BlockId head = chain[0];
+            const vm::Template &leader =
+                dm_.stream[dm_.pcToTemplate[cfg_.firstPc[head]]];
             if ((tplCost_[head] != total_cost ||
-                 tplNinstr_[head] != total_ninstr) &&
+                 tplNinstr_[head] != total_ninstr ||
+                 leader.cost != total_cost ||
+                 leader.ninstr != total_ninstr) &&
                 !capped(costMismatches_)) {
                 std::ostringstream os;
                 os << "trace " << ti << " head block " << head
                    << " charges " << tplCost_[head] << " cycles / "
-                   << tplNinstr_[head]
-                   << " instructions but the chain's bytecode cost is "
+                   << tplNinstr_[head] << " instructions ("
+                   << leader.cost << " / " << leader.ninstr
+                   << " on its leader) but the chain's bytecode cost is "
                    << total_cost << " / " << total_ninstr;
                 errorAtPc("trace-cost", cfg_.firstPc[head], os.str());
             }
@@ -298,8 +536,10 @@ class EquivChecker
                     errorAtPc("trace-cost", cfg_.firstPc[b], os.str());
                 }
                 const cfg::BlockId exit_block = chain[i];
-                if (cfg_.terminator[exit_block] != TerminatorKind::Cond)
+                if (cfg_.terminator[exit_block] != TerminatorKind::Cond) {
+                    checkTraceFall(ti, exit_block);
                     continue;
+                }
                 const vm::Template &gt = dm_.stream[dm_.pcToTemplate[
                     cfg_.lastPc[exit_block]]];
                 if (!vm::isGuardTop(gt.op)) {
@@ -326,6 +566,25 @@ class EquivChecker
                               os.str());
                 }
             }
+        }
+    }
+
+    /** An interior fall-through end of a trace is a TraceFall boundary
+     *  directly after the block-end instruction's template. */
+    void
+    checkTraceFall(std::size_t trace, cfg::BlockId b)
+    {
+        const bytecode::Pc end_pc = cfg_.lastPc[b];
+        const std::uint32_t end_tpl = dm_.pcToTemplate[end_pc];
+        const bool ok = end_tpl + 1 < dm_.stream.size() &&
+                        dm_.stream[end_tpl + 1].op == vm::kTopTraceFall &&
+                        dm_.stream[end_tpl + 1].block == b;
+        if (!ok && !capped(traceMismatches_)) {
+            std::ostringstream os;
+            os << "trace " << trace
+               << " interior fall-through end of block " << b
+               << " is not a TraceFall template";
+            errorAtPc("trace-fall", end_pc, os.str());
         }
     }
 
@@ -463,17 +722,30 @@ class EquivChecker
     }
 
     /** Resolve a transfer's target template and prove the dispatch
-     *  lands on the target pc's template. */
+     *  lands on the target pc's template and block. */
     void
     checkTransfer(cfg::BlockId b, std::uint32_t target_tpl,
-                  bytecode::Pc target_pc, const char *what)
+                  bytecode::Pc target_pc, cfg::BlockId target_block,
+                  const char *what)
     {
-        if (target_tpl != dm_.pcToTemplate[target_pc] &&
+        if (target_pc >= code_.code.size()) {
+            if (!capped(transferMismatches_)) {
+                std::ostringstream os;
+                os << what << " of block " << b << " targets pc "
+                   << target_pc << " outside the code";
+                errorAtPc("control-exit", cfg_.lastPc[b], os.str());
+            }
+            return;
+        }
+        if ((target_tpl != dm_.pcToTemplate[target_pc] ||
+             target_block != cfg_.blockOfPc[target_pc]) &&
             !capped(transferMismatches_)) {
             std::ostringstream os;
             os << what << " of block " << b << " dispatches to template "
-               << target_tpl << " but pc " << target_pc
-               << " lives at template " << dm_.pcToTemplate[target_pc];
+               << target_tpl << " in block " << target_block << " but pc "
+               << target_pc << " lives at template "
+               << dm_.pcToTemplate[target_pc] << " in block "
+               << cfg_.blockOfPc[target_pc];
             errorAtPc("control-exit", cfg_.lastPc[b], os.str());
         }
     }
@@ -523,11 +795,12 @@ class EquivChecker
                           "branch");
                 return false;
             }
-            checkBranchReads(b, tt, last);
+            checkBaselineRead(tt, last);
             push(0, tt.takenPc, tt.flags & vm::kTplTakenHeader);
             push(1, tt.fallPc, tt.flags & vm::kTplFallHeader);
-            checkTransfer(b, tt.taken, tt.takenPc, "taken exit");
-            checkTransfer(b, tt.fall, tt.fallPc, "fall exit");
+            checkTransfer(b, tt.taken, tt.takenPc, tt.takenBlock,
+                          "taken exit");
+            checkTransfer(b, tt.fall, tt.fallPc, tt.fallBlock, "fall exit");
             return true;
           }
           case TerminatorKind::Switch: {
@@ -536,7 +809,7 @@ class EquivChecker
                           "terminator template is not a Tableswitch");
                 return false;
             }
-            checkBranchReads(b, tt, last);
+            checkBaselineRead(tt, last);
             if (tt.a != term.a) {
                 std::ostringstream os;
                 os << "switch low bound " << tt.a
@@ -561,13 +834,14 @@ class EquivChecker
                 const vm::SwitchCase &sc =
                     dm_.switchCases[tt.swFirst + i];
                 push(i, sc.pc, sc.isHeader != 0);
-                checkTransfer(b, sc.tpl, sc.pc, "switch exit");
+                checkTransfer(b, sc.tpl, sc.pc, sc.block, "switch exit");
             }
             return true;
           }
           case TerminatorKind::Goto:
             push(0, tt.takenPc, tt.flags & vm::kTplTakenHeader);
-            checkTransfer(b, tt.taken, tt.takenPc, "goto exit");
+            checkTransfer(b, tt.taken, tt.takenPc, tt.takenBlock,
+                          "goto exit");
             return true;
           case TerminatorKind::Return: {
             ExitEffect e;
@@ -587,7 +861,8 @@ class EquivChecker
                     return false;
                 }
                 push(0, tt.fallPc, tt.flags & vm::kTplFallHeader);
-                checkTransfer(b, tt.fall, tt.fallPc, "invoke fall");
+                checkTransfer(b, tt.fall, tt.fallPc, tt.fallBlock,
+                              "invoke fall");
                 return true;
             }
             // Plain fall-through: the injected FallEdge template.
@@ -605,7 +880,7 @@ class EquivChecker
             e.targetPc = fe.fallPc;
             e.headerEvent = fe.flags & vm::kTplFallHeader;
             out.push_back(e);
-            checkTransfer(b, fe.fall, fe.fallPc, "fall edge");
+            checkTransfer(b, fe.fall, fe.fallPc, fe.fallBlock, "fall edge");
             return true;
           }
           case TerminatorKind::None:
@@ -614,20 +889,13 @@ class EquivChecker
         return false;
     }
 
-    /** Layout and baseline-counter reads on Cond/Switch terminators:
-     *  the template's baked copies must equal the version's live state
-     *  (miss penalties and one-time counters fire identically). */
+    /** Baseline-counter reads on Cond/Switch terminators: the
+     *  template's baked flag must equal the version's (one-time
+     *  counters fire identically). Layout reads are checked per pc by
+     *  checkEncoding. */
     void
-    checkBranchReads(cfg::BlockId b, const vm::Template &tt,
-                     bytecode::Pc last)
+    checkBaselineRead(const vm::Template &tt, bytecode::Pc last)
     {
-        if (tt.layout != cm_.layoutFor(b) && !capped(layoutMismatches_)) {
-            std::ostringstream os;
-            os << "template layout " << tt.layout
-               << " != installed branchLayout " << cm_.layoutFor(b)
-               << " (stale template: layout misses diverge)";
-            errorAtPc("layout", last, os.str());
-        }
         const bool tpl_baseline = tt.flags & vm::kTplBaselineEdge;
         if (tpl_baseline != cm_.baselineEdgeInstr &&
             !capped(baselineMismatches_)) {
@@ -688,6 +956,9 @@ class EquivChecker
     std::vector<std::int64_t> fallEdgeTpl_;
     bool tracesUsable_ = true;
 
+    std::size_t encodingMismatches_ = 0;
+    std::size_t fusionMismatches_ = 0;
+    std::size_t traceMismatches_ = 0;
     std::size_t costMismatches_ = 0;
     std::size_t cfgMismatches_ = 0;
     std::size_t transferMismatches_ = 0;

@@ -4,34 +4,47 @@
 /**
  * @file
  * Pass 1 of pep-verify: symbolic cross-engine equivalence
- * (docs/ANALYSIS.md). The switch interpreter executes bytecode and
- * consults the installed CompiledMethod live; the threaded engine
- * executes the version's pre-decoded template stream
- * (vm/decoded_method.hh) with layouts, flat-edge bases, header flags
- * and segment charges baked in at translation time. The differ's
- * check 7 proves the two byte-identical *dynamically*, per run; this
- * pass proves it *statically*, for all inputs, by abstractly executing
- * both representations one basic block at a time and comparing their
- * observable effects:
+ * (docs/ANALYSIS.md), and the one checker of a decoded template
+ * stream. The switch interpreter executes bytecode and consults the
+ * installed CompiledMethod live; the threaded engine executes the
+ * version's pre-decoded template stream (vm/decoded_method.hh) with
+ * layouts, flat-edge bases, header flags, fused operands and segment
+ * charges baked in at translation time. The differ's check 7 proves
+ * the two byte-identical *dynamically*, per run; this pass proves it
+ * *statically*, for all inputs, by checking the stream's encoding and
+ * then abstractly executing both representations one basic block at a
+ * time and comparing their observable effects:
  *
+ *  - encoding: every pc maps to a template carrying its opcode (or a
+ *    fused/guard top covering it), block and the version's layout for
+ *    that block, and every template burns in its block's flat-edge
+ *    base (`MethodCfg::edgeBase`);
+ *  - fusion: synthetic tops appear only under the fusion selection
+ *    that produces them; each fused superinstruction is the
+ *    fusion-menu match at its pc, stays inside one segment, has every
+ *    constituent pc map back to it and burns in the constituents'
+ *    operands; guards sit only at interior predicted-fall-through
+ *    trace exits;
+ *  - trace selection: the stream's chains are exactly what
+ *    vm::selectTraces derives from (code, layout, fuse);
  *  - cycle charges: the per-instruction scaled costs the switch engine
  *    charges over a block must equal the folded segment sums the
- *    threaded engine charges on the block's segment-leader templates
- *    (a per-block strengthening of plan-checker check 9's global sum);
+ *    threaded engine charges on the block's segment-leader templates;
+ *    inside a trace the head leader carries the chain's whole cost,
+ *    interior leaders zero, each guard refunds exactly the unexecuted
+ *    suffix, and interior fall-through ends are TraceFall templates;
  *  - instruction counts: same, for the ninstr counter;
  *  - profile-counter effects: every block exit must fire the same CFG
  *    edge (src block, successor index) at the same dense flat id —
  *    the switch engine asks the CFG (`MethodCfg::flatEdgeId`), the
  *    threaded engine adds the successor to its template's burned-in
- *    `flatBase` — so every attached profiler's flatEdgeActions
- *    dispatch is identical under both engines;
+ *    `flatBase` — and dispatch to the target pc's template and block,
+ *    so every attached profiler's flatEdgeActions dispatch is
+ *    identical under both engines;
  *  - yieldpoint/header placement: an exit transfers into a loop-header
  *    leader pc on one side iff the template carries the corresponding
  *    header flag, so onLoopHeader hooks and LoopHeader yieldpoints
  *    fire identically;
- *  - branch-layout reads: the layout the threaded engine baked into a
- *    Cond/Switch terminator template equals the version's live
- *    branchLayout, so layout-miss penalties agree;
  *  - baseline edge counters: the one-time-instrumentation flag on
  *    Cond/Switch terminators equals CompiledMethod::baselineEdgeInstr.
  *

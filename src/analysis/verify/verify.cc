@@ -15,8 +15,8 @@ namespace pep::analysis {
 
 namespace {
 
-/** The canonical translation pep_lint's check 9 also uses: full-opt
- *  costs, no layout information, no baseline instrumentation. */
+/** The canonical translation the static passes check: full-opt costs,
+ *  no layout information, no baseline instrumentation. */
 vm::CompiledMethod
 canonicalVersion(const bytecode::MethodCfg &cfg)
 {
@@ -34,10 +34,8 @@ canonicalVersion(const bytecode::MethodCfg &cfg)
 } // namespace
 
 bool
-verifyProgram(bytecode::Program &program, DiagnosticList &diagnostics)
+verifyBytecode(bytecode::Program &program, DiagnosticList &diagnostics)
 {
-    const std::size_t before = diagnostics.errorCount();
-
     const bytecode::VerifyResult verified =
         bytecode::verifyProgram(program);
     for (const bytecode::VerifyDiagnostic &d : verified.diagnostics) {
@@ -46,100 +44,95 @@ verifyProgram(bytecode::Program &program, DiagnosticList &diagnostics)
         out.hasPc = d.hasPc;
         out.pc = d.pc;
     }
-    // The CFG builder panics on unverified code; stop here.
-    if (!verified.ok)
-        return false;
+    return verified.ok;
+}
 
+bool
+verifyTranslations(const bytecode::Method &method,
+                   DiagnosticList &diagnostics)
+{
+    const std::size_t before = diagnostics.errorCount();
     // The equivalence proof must hold under every fusion selection —
     // fused segments included (under the canonical all-fall-through
     // layout `traces` straightens real chains).
     const vm::FuseOptions fuse_matrix[] = {
         {false, false}, {true, false}, {false, true}, {true, true}};
-    for (const bytecode::Method &method : program.methods) {
-        const vm::MethodInfo info = vm::buildMethodInfo(method);
-        const vm::CompiledMethod cm = canonicalVersion(info.cfg);
-        for (const vm::FuseOptions &fuse : fuse_matrix) {
-            const vm::DecodedMethod decoded =
-                vm::translateMethod(method, info, cm, fuse);
-
-            EngineEquivInput input;
-            input.code = &method;
-            input.info = &info;
-            input.cm = &cm;
-            input.decoded = &decoded;
-            input.methodName = method.name;
-            checkEngineEquivalence(input, diagnostics);
-
-            FusedCheckInput fused;
-            fused.decoded = &decoded;
-            fused.methodName = method.name;
-            checkFusedStream(fused, diagnostics);
-        }
+    const vm::MethodInfo info = vm::buildMethodInfo(method);
+    const vm::CompiledMethod cm = canonicalVersion(info.cfg);
+    for (const vm::FuseOptions &fuse : fuse_matrix) {
+        const vm::DecodedMethod decoded =
+            vm::translateMethod(method, info, cm, fuse);
+        EngineEquivInput input;
+        input.code = &method;
+        input.info = &info;
+        input.cm = &cm;
+        input.decoded = &decoded;
+        input.methodName = method.name;
+        checkEngineEquivalence(input, diagnostics);
     }
     return diagnostics.errorCount() == before;
 }
 
 bool
-verifyMachine(const vm::Machine &machine, DiagnosticList &diagnostics,
-              const VerifyOptions &options)
+verifyProgram(bytecode::Program &program, DiagnosticList &diagnostics)
+{
+    const std::size_t before = diagnostics.errorCount();
+    // The CFG builder panics on unverified code; stop there.
+    if (!verifyBytecode(program, diagnostics))
+        return false;
+    for (const bytecode::Method &method : program.methods)
+        verifyTranslations(method, diagnostics);
+    return diagnostics.errorCount() == before;
+}
+
+bool
+verifyMachine(const vm::Machine &machine, DiagnosticList &diagnostics)
 {
     const std::size_t before = diagnostics.errorCount();
 
-    if (options.checkEquivalence) {
-        for (bytecode::MethodId m = 0; m < machine.numMethods(); ++m) {
-            for (std::uint32_t v = 0; v < machine.numVersions(m); ++v) {
-                const vm::CompiledMethod *cm = machine.versionAt(m, v);
-                // The version executes its inlined body's code when it
-                // has one; all block ids refer to that CFG.
-                const bytecode::Method *code =
-                    cm->inlinedBody ? &cm->inlinedBody->method
-                                    : &machine.program().methods[m];
-                const vm::MethodInfo *info = cm->inlinedBody
-                                                 ? &cm->inlinedBody->info
-                                                 : &machine.info(m);
-                // Verify under the machine's live fusion selection —
-                // the streams the threaded engine actually executes.
-                const vm::DecodedMethod decoded = vm::translateMethod(
-                    *code, *info, *cm, machine.params().fuse);
+    for (bytecode::MethodId m = 0; m < machine.numMethods(); ++m) {
+        for (std::uint32_t v = 0; v < machine.numVersions(m); ++v) {
+            const vm::CompiledMethod *cm = machine.versionAt(m, v);
+            const std::string &name = machine.program().methods[m].name;
+            // The version executes its inlined body's code when it has
+            // one; all block ids refer to that CFG.
+            const bytecode::Method *code =
+                cm->inlinedBody ? &cm->inlinedBody->method
+                                : &machine.program().methods[m];
+            const vm::MethodInfo *info = cm->inlinedBody
+                                             ? &cm->inlinedBody->info
+                                             : &machine.info(m);
+            // Verify under the machine's live fusion selection — the
+            // streams the threaded engine actually executes.
+            const vm::DecodedMethod decoded = vm::translateMethod(
+                *code, *info, *cm, machine.params().fuse);
 
-                EngineEquivInput input;
-                input.code = code;
-                input.info = info;
-                input.cm = cm;
-                input.decoded = &decoded;
-                input.methodName = machine.program().methods[m].name;
-                input.hasVersion = true;
-                input.version = v;
-                checkEngineEquivalence(input, diagnostics);
+            EngineEquivInput input;
+            input.code = code;
+            input.info = info;
+            input.cm = cm;
+            input.decoded = &decoded;
+            input.methodName = name;
+            input.hasVersion = true;
+            input.version = v;
+            checkEngineEquivalence(input, diagnostics);
 
-                FusedCheckInput fused;
-                fused.decoded = &decoded;
-                fused.methodName = machine.program().methods[m].name;
-                checkFusedStream(fused, diagnostics);
+            // Clone discipline: the check-11 origin audit of every
+            // clone-synthesized body.
+            if (cm->cloneApplied && cm->inlinedBody) {
+                CloneCheckInput clone;
+                clone.rootMethod = m;
+                clone.originalCfg = &machine.info(m).cfg;
+                clone.body = cm->inlinedBody.get();
+                clone.methodName = name;
+                checkClonedBody(clone, diagnostics);
             }
         }
     }
 
-    if (options.checkCachedStreams)
-        auditMachineDecoded(machine, diagnostics);
-    if (options.checkJournal)
-        auditMutationJournal(machine, diagnostics);
-    if (options.checkClones) {
-        auditCloneJournal(machine, diagnostics);
-        for (bytecode::MethodId m = 0; m < machine.numMethods(); ++m) {
-            for (std::uint32_t v = 0; v < machine.numVersions(m); ++v) {
-                const vm::CompiledMethod *cm = machine.versionAt(m, v);
-                if (!cm->cloneApplied || !cm->inlinedBody)
-                    continue;
-                CloneCheckInput input;
-                input.rootMethod = m;
-                input.originalCfg = &machine.info(m).cfg;
-                input.body = cm->inlinedBody.get();
-                input.methodName = machine.program().methods[m].name;
-                checkClonedBody(input, diagnostics);
-            }
-        }
-    }
+    auditMachineDecoded(machine, diagnostics);
+    auditMutationJournal(machine, diagnostics);
+    auditCloneJournal(machine, diagnostics);
 
     return diagnostics.errorCount() == before;
 }

@@ -9,23 +9,28 @@
  *  2. profile realizability (verify/realizability.hh)
  *  3. invariant escape audits (verify/invariants.hh)
  *
- * Two entry points:
+ * Entry points:
  *
  *  - verifyProgram: static, no VM. Runs the bytecode verifier, then
- *    translates every method for the threaded engine exactly as the
- *    VM would at full opt (no layout information) and proves the
- *    template stream equivalent to the bytecode. This is what
- *    `pep_lint --verify` and `pep-verify --static-only` run.
+ *    verifyTranslations over every method. This is what
+ *    `pep_verify --static-only` runs; pep_lint's plan checks run
+ *    verifyTranslations too.
+ *
+ *  - verifyTranslations: translates one method for the threaded
+ *    engine exactly as the VM would at full opt (no layout
+ *    information), under every fusion selection, and proves each
+ *    template stream equivalent to the bytecode.
  *
  *  - verifyMachine: inspects a live VM after (or during) a run. For
  *    every installed compiled version it re-translates the version
  *    (using the inlined body's code when the version has one) and
  *    proves engine equivalence against the *installed* state — baked
- *    layouts included — then audits cached template streams and the
- *    escape/sanitize journal. Realizability of recorded profiles is
- *    checked by the callers that own the profilers (the pep-verify
- *    tool and the differ), since the analysis layer does not depend
- *    on the profiler runtime.
+ *    layouts included — audits clone-synthesized bodies (plan-checker
+ *    check 11), then audits cached template streams and the
+ *    escape/sanitize and compile journals. Realizability of recorded
+ *    profiles is checked by the callers that own the profilers (the
+ *    pep-verify tool and the differ), since the analysis layer does
+ *    not depend on the profiler runtime.
  */
 
 #include "analysis/diagnostics.hh"
@@ -37,18 +42,21 @@ class Machine;
 
 namespace pep::analysis {
 
-/** Which verifyMachine audits to run (all on by default). */
-struct VerifyOptions
-{
-    bool checkEquivalence = true;
-    bool checkCachedStreams = true;
-    bool checkJournal = true;
+/**
+ * Run the multi-diagnostic bytecode verifier over a program, reporting
+ * its findings under pass "verify". Fills in maxStack. Returns true if
+ * the program verified (the CFG builder requires verified code).
+ */
+bool verifyBytecode(bytecode::Program &program,
+                    DiagnosticList &diagnostics);
 
-    /** Clone discipline: compile-journal agreement for every version
-     *  (auditCloneJournal) plus the check-11 origin audit of every
-     *  clone-synthesized body. */
-    bool checkClones = true;
-};
+/**
+ * Static verification of one verified method: engine equivalence of
+ * its canonical full-opt translation under every fusion selection.
+ * Returns true if no errors were added.
+ */
+bool verifyTranslations(const bytecode::Method &method,
+                        DiagnosticList &diagnostics);
 
 /**
  * Static verification of a program: bytecode verifier + engine
@@ -61,12 +69,11 @@ bool verifyProgram(bytecode::Program &program,
 
 /**
  * Verify a live machine's installed versions: engine equivalence per
- * version, cached-stream freshness, journal discipline. Returns true
- * if no errors were added.
+ * version, clone discipline, cached-stream freshness, journal
+ * discipline. Returns true if no errors were added.
  */
 bool verifyMachine(const vm::Machine &machine,
-                   DiagnosticList &diagnostics,
-                   const VerifyOptions &options = {});
+                   DiagnosticList &diagnostics);
 
 } // namespace pep::analysis
 

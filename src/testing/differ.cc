@@ -232,8 +232,7 @@ foldBranchCounts(const SegmentCounts &segments,
  * recorded continuous edge profile. The extra crossing appears out of
  * nowhere — inflow and outflow no longer balance at the edge's source
  * block — so no execution could have recorded the resulting profile.
- * Both the dynamic conservation check (check 5) and the static
- * realizability pass must reject it.
+ * Check 5's realizability pass must reject it.
  */
 void
 corruptPepEdgeProfile(const vm::Machine &machine,
@@ -294,43 +293,24 @@ checkEdgeTablesBounded(const profile::EdgeProfileSet &got,
 }
 
 /**
- * Flow conservation: profiled walks are contiguous edge sequences whose
- * boundaries lie at loop headers, method entry and method exit, so at
- * every other code block inflow must equal outflow. When no frame was
- * dropped mid-path, every walk ending at a header is paired with one
- * starting there, and headers conserve too.
+ * Realizability of an edge profile (analysis/verify/realizability.hh):
+ * shape, reachability and flow conservation. Profiled walks are
+ * contiguous edge sequences whose boundaries lie at loop headers,
+ * method entry and method exit, so every other code block conserves
+ * flow; headers conserve too when `options.requireHeaderConservation`
+ * says no frame was dropped mid-path.
  */
 void
-checkConservation(const profile::EdgeProfileSet &edges,
-                  const vm::Machine &machine, bool include_headers,
-                  const std::string &what, DiffReport &report)
+checkRealizable(const profile::EdgeProfileSet &edges,
+                const vm::Machine &machine,
+                const analysis::RealizabilityOptions &options,
+                DiffReport &report)
 {
-    for (std::size_t m = 0; m < edges.perMethod.size(); ++m) {
-        const bytecode::MethodCfg &cfg =
-            machine.info(static_cast<bytecode::MethodId>(m)).cfg;
-        const auto &counts = edges.perMethod[m].counts();
-        std::vector<std::uint64_t> in(cfg.graph.numBlocks(), 0);
-        std::vector<std::uint64_t> out(cfg.graph.numBlocks(), 0);
-        for (cfg::BlockId src = 0; src < cfg.graph.numBlocks(); ++src) {
-            const auto &succs = cfg.graph.succs(src);
-            for (std::size_t i = 0; i < succs.size(); ++i) {
-                out[src] += counts[src][i];
-                in[succs[i]] += counts[src][i];
-            }
-        }
-        for (cfg::BlockId b = 0; b < cfg.graph.numBlocks(); ++b) {
-            if (!cfg.isCodeBlock(b))
-                continue;
-            if (cfg.isLoopHeader[b] && !include_headers)
-                continue;
-            if (in[b] != out[b]) {
-                std::ostringstream os;
-                os << what << ": method " << m << " block " << b
-                   << " violates flow conservation (in " << in[b]
-                   << ", out " << out[b] << ')';
-                addViolation(report, os.str());
-            }
-        }
+    analysis::DiagnosticList diags;
+    analysis::checkEdgeSetRealizability(machine, edges, options, diags);
+    for (const analysis::Diagnostic &d : diags.all()) {
+        if (d.severity == analysis::Severity::Error)
+            addViolation(report, analysis::formatDiagnostic(d));
     }
 }
 
@@ -646,19 +626,18 @@ checkKDegeneracy(const vm::Machine &machine, const DiffOptions &opts,
 /**
  * The static mirror of the dynamic oracles: run the verify passes
  * (docs/ANALYSIS.md) over the machine's installed versions, both
- * profilers' plans, and every recorded profile, turning error
- * diagnostics into violations. Running this inside every fuzz
- * iteration continuously proves the static layer agrees with the
- * dynamic checks — no false alarms on clean runs, and the
- * impossible-profile / skipped-invalidate injections are rejected
- * without executing another instruction.
+ * profilers' plans, and every recorded path profile, turning error
+ * diagnostics into violations (checks 5-6 run realizability over the
+ * edge profiles). Running this inside every fuzz iteration
+ * continuously proves the static layer agrees with the dynamic checks
+ * — no false alarms on clean runs, and the skipped-invalidate
+ * injection is rejected without executing another instruction.
  */
 void
 runStaticVerifyPasses(
     const vm::Machine &machine, core::FullPathProfiler &full,
     const std::vector<std::unique_ptr<core::PepProfiler>> &peps,
-    const DiffOptions &opts, bool bytecode_level_truth,
-    DiffReport &report)
+    const DiffOptions &opts, DiffReport &report)
 {
     analysis::DiagnosticList diags;
     analysis::verifyMachine(machine, diags);
@@ -690,21 +669,9 @@ runStaticVerifyPasses(
     for (std::size_t p = 0; p < peps.size(); ++p) {
         std::ostringstream tag;
         tag << "pep(" << opts.pepConfigs[p].samples << ','
-            << opts.pepConfigs[p].stride << ')';
-        audit_engine(*peps[p], tag.str() + " paths",
+            << opts.pepConfigs[p].stride << ") paths";
+        audit_engine(*peps[p], tag.str(),
                      peps[p]->pepStats().samplesRecorded);
-        // The continuous edge profile's conservation/bounds only
-        // apply at bytecode level when no synthesized (inlined or
-        // cloned) CFG is folded in, mirroring the dynamic check-5
-        // gate.
-        if (bytecode_level_truth) {
-            analysis::RealizabilityOptions ropts;
-            ropts.what = tag.str() + " edges";
-            ropts.maxWalks = peps[p]->pepStats().samplesRecorded;
-            ropts.walkMultiplicity = opts.kIterations;
-            analysis::checkEdgeSetRealizability(
-                machine, peps[p]->edgeProfile(), ropts, diags);
-        }
     }
 
     std::vector<analysis::Diagnostic> sorted = diags.all();
@@ -841,7 +808,8 @@ standardConfigs()
         // Always-on clone configs, environment or not: check 9 and
         // the bad-clone-fold corpus reproducers need a config that
         // clones in the default sweep, and the k-iteration variant
-        // proves composite-id profiles fold just as exactly.
+        // proves composite-id profiles fold just as exactly while OSR
+        // moves running frames into cloned bodies.
         DiffOptions clone_smart;
         clone_smart.name = "clone-smart";
         clone_smart.scheme = profile::NumberingScheme::Smart;
@@ -855,6 +823,7 @@ standardConfigs()
         clone_kiter2.scheme = profile::NumberingScheme::Smart;
         clone_kiter2.optLayout = true;
         clone_kiter2.optClone = true;
+        clone_kiter2.enableOsr = true;
         v.push_back(clone_kiter2);
 
         // Fusion legs (docs/ENGINE.md): superinstruction pairs alone,
@@ -1042,11 +1011,10 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
         // sizes programs so this never happens in practice.
         report.notes.push_back(
             "numbering overflow: segment checks skipped");
-        if (opts.crossCheckEngines &&
-            (opts.inject == InjectKind::None ||
-             opts.inject == InjectKind::StaleTemplate ||
-             opts.inject == InjectKind::SkippedInvalidate ||
-             opts.inject == InjectKind::StaleFusion)) {
+        if (opts.inject == InjectKind::None ||
+            opts.inject == InjectKind::StaleTemplate ||
+            opts.inject == InjectKind::SkippedInvalidate ||
+            opts.inject == InjectKind::StaleFusion) {
             runEngineCrossCheck(program, opts, report);
         }
         return report;
@@ -1166,9 +1134,11 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
         checkEdgeTablesBounded(pep.edgeProfile(), machine.truthEdges(),
                                what + " edge profile", report);
         if (bytecode_level_truth) {
-            checkConservation(pep.edgeProfile(), machine,
-                              /*include_headers=*/false,
-                              what + " edge profile", report);
+            analysis::RealizabilityOptions ropts;
+            ropts.what = what + " edge profile";
+            ropts.maxWalks = stats.samplesRecorded;
+            ropts.walkMultiplicity = opts.kIterations;
+            checkRealizable(pep.edgeProfile(), machine, ropts, report);
         }
     }
 
@@ -1184,8 +1154,10 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
                                    "full-derived edge profile", report);
             const bool clean_pairing = oracle.droppedFrames() == 0 &&
                                        oracle.adoptedFrames() == 0;
-            checkConservation(derived, machine, clean_pairing,
-                              "full-derived edge profile", report);
+            analysis::RealizabilityOptions ropts;
+            ropts.what = "full-derived edge profile";
+            ropts.requireHeaderConservation = clean_pairing;
+            checkRealizable(derived, machine, ropts, report);
             if (!clean_pairing) {
                 report.notes.push_back(
                     "frames dropped or adopted mid-path: header "
@@ -1249,19 +1221,15 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
     // Check 7: switch vs threaded engine byte-identity. The other
     // injections corrupt the main run's profiler state, which doesn't
     // exist on the cross-check machines — skip the redundant runs.
-    if (opts.crossCheckEngines &&
-        (opts.inject == InjectKind::None ||
-         opts.inject == InjectKind::StaleTemplate ||
-         opts.inject == InjectKind::SkippedInvalidate ||
-         opts.inject == InjectKind::StaleFusion)) {
+    if (opts.inject == InjectKind::None ||
+        opts.inject == InjectKind::StaleTemplate ||
+        opts.inject == InjectKind::SkippedInvalidate ||
+        opts.inject == InjectKind::StaleFusion) {
         runEngineCrossCheck(program, opts, report);
     }
 
     // The static verify passes see everything the dynamic checks saw.
-    if (opts.runStaticVerify) {
-        runStaticVerifyPasses(machine, full, peps, opts,
-                              bytecode_level_truth, report);
-    }
+    runStaticVerifyPasses(machine, full, peps, opts, report);
 
     return report;
 }

@@ -17,10 +17,12 @@
  *  4. every engine agrees on the total number of completed paths;
  *  5. PEP-sampled counts never exceed the oracle's, sum to
  *     samplesRecorded, and the derived edge profile is bounded by
- *     ground truth and flow-conserved at non-header blocks;
+ *     ground truth and realizable (analysis/verify/realizability.hh:
+ *     walk bounds, reachability, flow conservation at non-header
+ *     blocks);
  *  6. the edge profile derived from full BLPP is bounded by ground
- *     truth and flow-conserved (at loop headers too while no frame was
- *     dropped mid-path);
+ *     truth and realizable, conserving flow at loop headers too while
+ *     no frame was dropped mid-path;
  *  7. the switch-dispatch and threaded (pre-decoded template)
  *     execution engines are byte-identical: the same program run on
  *     two otherwise-identical machines, one per engine, produces the
@@ -206,19 +208,6 @@ struct DiffOptions
     vm::FuseOptions fuse = {};
 
     InjectKind inject = InjectKind::None;
-
-    /** Check 7: run the program once per execution engine (switch and
-     *  threaded) on otherwise-identical machines and byte-compare
-     *  every observable. On for every standard config. */
-    bool crossCheckEngines = true;
-
-    /** Run the static verify passes (analysis/verify/) over the
-     *  machine, the profilers' plans and every recorded profile at the
-     *  end of the run; their error diagnostics become violations. This
-     *  is the static mirror of checks 5-7 — on for every standard
-     *  config, so the fuzzer continuously proves the static layer
-     *  raises no false alarms. */
-    bool runStaticVerify = true;
 };
 
 /** Result of one differential run. */

@@ -50,8 +50,8 @@
  *
  * Fusion is a pure translation-time choice: the switch engine ignores
  * it and every observable stays byte-identical across the whole
- * PEP_ENGINE x PEP_FUSE matrix (differ check 7, plan-checker check 12,
- * the engine-equivalence verify pass).
+ * PEP_ENGINE x PEP_FUSE matrix (differ check 7 and the
+ * engine-equivalence verify pass, analysis/verify/engine_equiv.hh).
  *
  * Translation is a pure function of (code, tables, compiled version,
  * fuse options): it charges no simulated cycles and consults no

@@ -122,13 +122,15 @@ class ExecutionHooks
     }
 
     /**
-     * On-stack replacement: the top frame switched to a freshly
-     * compiled version at a loop-header yieldpoint (fired after the
-     * header's onLoopHeader/onYieldpoint, with frame.version already
-     * the new version). Path profilers rebind their per-frame state
-     * here; header splitting makes this safe — the old version's path
-     * just ended at this header, and the new path begins with the new
-     * plan's restart value.
+     * On-stack replacement: the top frame switched to a higher-tier
+     * version at a loop-header yieldpoint (fired after the header's
+     * onLoopHeader/onYieldpoint, with frame.version already the new
+     * version). Path profilers rebind their per-frame state here;
+     * header splitting makes this safe — the old version's path just
+     * ended at this header, and the new path begins with the new
+     * plan's restart value. The frame's pc is a loop-header leader in
+     * the new code too: when path cloning moved the loop's header
+     * into a clone, the frame does not transfer and this never fires.
      */
     virtual void
     onOsr(const FrameView &frame, cfg::BlockId header)

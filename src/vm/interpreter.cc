@@ -228,24 +228,34 @@ Interpreter::yieldpoint(YieldpointKind kind, cfg::BlockId block)
         const OptLevel target = vm_.targetLevel(f.method);
         if (static_cast<int>(target) >
             static_cast<int>(f.version->level)) {
-            const CompiledMethod &fresh = vm_.compile(f.method, target);
-            f.version = &fresh;
-            cfg::BlockId new_block = block;
-            if (fresh.inlinedBody) {
-                // Transfer the frame into the synthesized code: map
-                // the pc, adopt the new tables, and make room for the
-                // inlined callees' local slots.
-                f.pc = fresh.inlinedBody->rootPcMap[f.pc];
-                f.code = &fresh.inlinedBody->method;
-                f.info = &fresh.inlinedBody->info;
-                f.locals.resize(f.code->numLocals, 0);
-                new_block = f.info->cfg.blockOfPc[f.pc];
+            // Reuse a version another invocation already compiled at
+            // the target tier rather than compiling one per OSR.
+            const CompiledMethod &fresh = *resolveVersion(f.method);
+            const InlinedBody *body = fresh.inlinedBody.get();
+            // A frame lands only on a loop-header leader of the new
+            // code, where both engines begin a segment with its full
+            // charge. Path cloning may retarget this loop's back edge
+            // into a clone, leaving the mapped pc mid-block; such a
+            // frame keeps its version until its next invocation.
+            if (!body || body->info.headerLeaderPc[body->rootPcMap[f.pc]]) {
+                f.version = &fresh;
+                cfg::BlockId new_block = block;
+                if (body) {
+                    // Transfer the frame into the synthesized code: map
+                    // the pc, adopt the new tables, and make room for
+                    // the inlined callees' local slots.
+                    f.pc = body->rootPcMap[f.pc];
+                    f.code = &body->method;
+                    f.info = &body->info;
+                    f.locals.resize(f.code->numLocals, 0);
+                    new_block = f.info->cfg.blockOfPc[f.pc];
+                }
+                vm_.cycles_ += vm_.params_.cost.osrTransitionCost;
+                ++vm_.stats_.osrs;
+                const FrameView swapped = view(f);
+                for (ExecutionHooks *hooks : vm_.hooks_)
+                    hooks->onOsr(swapped, new_block);
             }
-            vm_.cycles_ += vm_.params_.cost.osrTransitionCost;
-            ++vm_.stats_.osrs;
-            const FrameView swapped = view(f);
-            for (ExecutionHooks *hooks : vm_.hooks_)
-                hooks->onOsr(swapped, new_block);
         }
     }
 

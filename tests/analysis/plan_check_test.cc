@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <string>
 
 #include "analysis/plan_check.hh"
@@ -23,8 +22,6 @@
 #include "common/fixtures.hh"
 #include "core/baseline_profilers.hh"
 #include "profile/spanning_placement.hh"
-#include "vm/cost_model.hh"
-#include "vm/decoded_method.hh"
 #include "vm/machine.hh"
 
 namespace pep::analysis {
@@ -390,152 +387,6 @@ TEST(PlanCheck, RejectsCorruptEdgeBase)
     DiagnosticList diagnostics;
     EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
     EXPECT_TRUE(hasError(diagnostics, "prefix sum"))
-        << renderAll(diagnostics);
-}
-
-/**
- * Build main()'s template stream exactly as the lint pipeline does,
- * optionally tamper with it, and run check 9. Everything lives in one
- * scope so the DecodedMethod's back-pointers stay valid.
- */
-DiagnosticList
-checkTemplatesOf(const bytecode::Program &program,
-                 const std::function<void(vm::DecodedMethod &)> &tamper,
-                 bool &ok,
-                 const std::function<void(bytecode::MethodCfg &)>
-                     &tamper_cfg = nullptr)
-{
-    const bytecode::Method &method =
-        program.methods[program.mainMethod];
-    const bytecode::MethodCfg cfg = bytecode::buildCfg(method);
-    const profile::PDag pdag =
-        profile::buildPDag(cfg, DagMode::HeaderSplit);
-    const profile::Numbering numbering = profile::numberPaths(
-        pdag, NumberingScheme::BallLarus, nullptr);
-    const profile::InstrumentationPlan plan =
-        profile::buildInstrumentationPlan(cfg, pdag, numbering);
-
-    const vm::MethodInfo info = vm::buildMethodInfo(method);
-    vm::CompiledMethod cm;
-    const vm::CostModel cost;
-    cm.scaledCost.resize(bytecode::kNumOpcodes);
-    for (std::size_t op = 0; op < bytecode::kNumOpcodes; ++op)
-        cm.scaledCost[op] =
-            cost.instrCost(static_cast<bytecode::Opcode>(op));
-    cm.branchLayout.assign(cfg.graph.numBlocks(), -1);
-    vm::DecodedMethod decoded =
-        vm::translateMethod(method, info, cm);
-    if (tamper)
-        tamper(decoded);
-    bytecode::MethodCfg checked_cfg = cfg;
-    if (tamper_cfg)
-        tamper_cfg(checked_cfg);
-
-    TemplateCheckInput input;
-    input.code = &method;
-    input.cfg = &checked_cfg;
-    input.plan = &plan;
-    input.decoded = &decoded;
-    input.methodName = method.name;
-
-    DiagnosticList diagnostics;
-    ok = checkTemplateStream(input, diagnostics);
-    return diagnostics;
-}
-
-TEST(PlanCheck, TemplateStreamAcceptsTranslatedMethods)
-{
-    for (const bytecode::Program &program :
-         {test::simpleLoopProgram(), test::figure1Program(),
-          test::callSwitchProgram()}) {
-        bool ok = false;
-        const DiagnosticList diagnostics =
-            checkTemplatesOf(program, nullptr, ok);
-        EXPECT_TRUE(ok) << renderAll(diagnostics);
-    }
-    for (std::uint64_t seed = 900; seed < 912; ++seed) {
-        bool ok = false;
-        const DiagnosticList diagnostics = checkTemplatesOf(
-            test::randomStructuredProgram(seed, 8), nullptr, ok);
-        EXPECT_TRUE(ok) << "seed " << seed << "\n"
-                        << renderAll(diagnostics);
-    }
-}
-
-TEST(PlanCheck, TemplateStreamRejectsCorruptFlatBase)
-{
-    // A wrong burned-in base makes onEdge index another block's
-    // flat actions — the exact miscounting a stale or mistranslated
-    // stream produces at runtime.
-    bool ok = true;
-    const DiagnosticList diagnostics = checkTemplatesOf(
-        test::figure1Program(),
-        [](vm::DecodedMethod &dm) { dm.stream[0].flatBase += 1; },
-        ok);
-    EXPECT_FALSE(ok);
-    EXPECT_TRUE(hasError(diagnostics, "carries flat base"))
-        << renderAll(diagnostics);
-}
-
-TEST(PlanCheck, TemplateStreamRejectsMismatchedEdgeBase)
-{
-    // Templates translated against one numbering, checked against a
-    // CFG whose numbering shifts block 2: every burned-in base of that
-    // block now names another edge.
-    bool ok = true;
-    const DiagnosticList diagnostics = checkTemplatesOf(
-        test::figure1Program(), nullptr, ok,
-        [](bytecode::MethodCfg &cfg) { cfg.edgeBase[2] += 1; });
-    EXPECT_FALSE(ok);
-    EXPECT_TRUE(hasError(diagnostics, "carries flat base"))
-        << renderAll(diagnostics);
-}
-
-TEST(PlanCheck, TemplateStreamRejectsStaleLayout)
-{
-    // The static face of the stale-template bug class: a template
-    // whose baked layout no longer matches the version's.
-    bool ok = true;
-    const DiagnosticList diagnostics = checkTemplatesOf(
-        test::figure1Program(),
-        [](vm::DecodedMethod &dm) {
-            dm.stream[dm.pcToTemplate[0]].layout = 1;
-        },
-        ok);
-    EXPECT_FALSE(ok);
-    EXPECT_TRUE(hasError(diagnostics, "stale translation"))
-        << renderAll(diagnostics);
-}
-
-TEST(PlanCheck, TemplateStreamRejectsRetargetedBranch)
-{
-    bool ok = true;
-    const DiagnosticList diagnostics = checkTemplatesOf(
-        test::figure1Program(),
-        [](vm::DecodedMethod &dm) {
-            for (vm::Template &t : dm.stream) {
-                if (bytecode::isCondBranch(
-                        static_cast<bytecode::Opcode>(t.op))) {
-                    t.taken += 1;
-                    return;
-                }
-            }
-            FAIL() << "fixture has no conditional branch";
-        },
-        ok);
-    EXPECT_FALSE(ok);
-    EXPECT_TRUE(hasError(diagnostics, "does not resolve"))
-        << renderAll(diagnostics);
-}
-
-TEST(PlanCheck, TemplateStreamRejectsTamperedSegmentCharge)
-{
-    bool ok = true;
-    const DiagnosticList diagnostics = checkTemplatesOf(
-        test::figure1Program(),
-        [](vm::DecodedMethod &dm) { dm.stream[0].cost += 5; }, ok);
-    EXPECT_FALSE(ok);
-    EXPECT_TRUE(hasError(diagnostics, "segment charges"))
         << renderAll(diagnostics);
 }
 

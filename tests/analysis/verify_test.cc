@@ -3,7 +3,7 @@
  * Tests for the pep-verify passes (analysis/verify/, docs/ANALYSIS.md):
  *
  *  - the examples corpus is clean under all three passes, statically
- *    (verifyProgram, lintProgram --verify) and on a live machine under
+ *    (verifyProgram, lintProgram) and on a live machine under
  *    both execution engines (verifyMachine);
  *  - the relayout-then-verify round trip: an in-place layout mutation
  *    followed by invalidateDecoded verifies clean, the same mutation
@@ -14,6 +14,7 @@
  */
 
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -196,15 +197,15 @@ TEST(VerifyProgram, ExamplesCleanStatically)
 
 TEST(VerifyProgram, LintVerifyModeCleanOnExamples)
 {
-    // `pep_lint --verify`: plan checks (incl. the template-stream
-    // check 9) plus the engine-equivalence pass over every example.
+    // pep_lint's plan checks end with the routine
+    // `pep_verify --static-only` runs: the engine-equivalence pass
+    // over every method's canonical translations.
     for (const auto &path : examplePrograms()) {
         SCOPED_TRACE(path.filename().string());
         bytecode::Program program = loadProgram(path);
 
         analysis::LintOptions options;
         options.runMethodPasses = false;
-        options.runVerifyPasses = true;
         const DiagnosticList diagnostics =
             analysis::lintProgram(program, options);
         EXPECT_EQ(diagnostics.errorCount(), 0u)
@@ -397,6 +398,77 @@ TEST(EngineEquiv, RejectsCorruptedHeaderFlag)
     EXPECT_FALSE(analysis::checkEngineEquivalence(
         equivInput(method, t), diagnostics));
     EXPECT_TRUE(hasError(diagnostics, "engine-equiv", "yieldpoint"))
+        << describe(diagnostics);
+}
+
+/** Pass 1 over figure1 main's canonical translation after `tamper`. */
+DiagnosticList
+checkTamperedFigure1(const std::function<void(vm::DecodedMethod &)> &tamper)
+{
+    const bytecode::Program program = test::figure1Program();
+    const bytecode::Method &method = program.methods[program.mainMethod];
+    CanonicalTranslation t = translateCanonical(method);
+    tamper(t.decoded);
+    DiagnosticList diagnostics;
+    analysis::checkEngineEquivalence(equivInput(method, t), diagnostics);
+    return diagnostics;
+}
+
+TEST(EngineEquiv, TemplateStreamAcceptsTranslatedMethods)
+{
+    std::vector<bytecode::Program> programs = {
+        test::simpleLoopProgram(), test::figure1Program(),
+        test::callSwitchProgram()};
+    for (std::uint64_t seed = 900; seed < 912; ++seed)
+        programs.push_back(test::randomStructuredProgram(seed, 8));
+    for (const bytecode::Program &program : programs) {
+        const bytecode::Method &method =
+            program.methods[program.mainMethod];
+        const CanonicalTranslation t = translateCanonical(method);
+        DiagnosticList diagnostics;
+        EXPECT_TRUE(analysis::checkEngineEquivalence(
+            equivInput(method, t), diagnostics))
+            << describe(diagnostics);
+    }
+}
+
+TEST(EngineEquiv, TemplateStreamRejectsCorruptFlatBase)
+{
+    // A wrong base burned into the first template, which is no branch:
+    // whatever edge it later fires indexes another block's actions.
+    const DiagnosticList diagnostics = checkTamperedFigure1(
+        [](vm::DecodedMethod &dm) { dm.stream[0].flatBase += 1; });
+    EXPECT_TRUE(hasError(diagnostics, "engine-equiv", "encoding"))
+        << describe(diagnostics);
+}
+
+TEST(EngineEquiv, TemplateStreamRejectsStaleLayout)
+{
+    // The static face of the stale-template bug class, on a
+    // non-terminator template: its baked layout no longer matches the
+    // version's.
+    const DiagnosticList diagnostics =
+        checkTamperedFigure1([](vm::DecodedMethod &dm) {
+            dm.stream[dm.pcToTemplate[0]].layout = 1;
+        });
+    EXPECT_TRUE(hasError(diagnostics, "engine-equiv", "layout"))
+        << describe(diagnostics);
+}
+
+TEST(EngineEquiv, TemplateStreamRejectsRetargetedBranch)
+{
+    const DiagnosticList diagnostics =
+        checkTamperedFigure1([](vm::DecodedMethod &dm) {
+            for (vm::Template &t : dm.stream) {
+                if (bytecode::isCondBranch(
+                        static_cast<bytecode::Opcode>(t.op))) {
+                    t.taken += 1;
+                    return;
+                }
+            }
+            FAIL() << "fixture has no conditional branch";
+        });
+    EXPECT_TRUE(hasError(diagnostics, "engine-equiv", "control-exit"))
         << describe(diagnostics);
 }
 

@@ -28,6 +28,15 @@ struct MatrixConfig
     const char *label;
 };
 
+// Printed as its label. gtest would otherwise dump the raw bytes,
+// label pointer included, and ctest would name each case by an
+// address that changes with every run.
+void
+PrintTo(const MatrixConfig &config, std::ostream *os)
+{
+    *os << config.label;
+}
+
 class ConfigMatrix : public ::testing::TestWithParam<MatrixConfig>
 {
   protected:

@@ -376,8 +376,9 @@ TEST(Shrinker, ReducesInjectedFailureWhileItStillFails)
 TEST(Differ, StandardConfigMatrixCoversCloning)
 {
     // The always-on cloning configurations: the full pipeline under
-    // the Smart scheme, and the same with k-iteration paths so cloned
-    // synthesized CFGs meet cross-iteration windows.
+    // the Smart scheme, and the same with k-iteration paths and OSR so
+    // cloned synthesized CFGs meet cross-iteration windows and frames
+    // transferring into them.
     const fz::DiffOptions *smart = fz::findConfig("clone-smart");
     ASSERT_NE(smart, nullptr);
     EXPECT_TRUE(smart->optClone);
@@ -387,6 +388,7 @@ TEST(Differ, StandardConfigMatrixCoversCloning)
     ASSERT_NE(kiter, nullptr);
     EXPECT_TRUE(kiter->optClone);
     EXPECT_EQ(kiter->kIterations, 2u);
+    EXPECT_TRUE(kiter->enableOsr);
 }
 
 TEST(Differ, BadCloneFoldInjectionIsCaughtAndCleanWithout)

@@ -6,8 +6,8 @@
  * trace selection, the switch/threaded byte-identity contract across
  * the whole PEP_ENGINE x PEP_FUSE matrix (guarded exits included, on
  * mispredict-heavy runs), park/resume through fused streams, the
- * fusion-keyed translation cache, and seeded rejections of the
- * fused-stream plan check (check 12). Suite names start with
+ * fusion-keyed translation cache, and seeded fused-stream rejections
+ * by the engine-equivalence pass. Suite names start with
  * "FusionRuntime" so `ctest -R Runtime` (the TSan CI job) selects
  * them.
  */
@@ -19,7 +19,7 @@
 #include <string>
 
 #include "analysis/diagnostics.hh"
-#include "analysis/plan_check.hh"
+#include "analysis/verify/engine_equiv.hh"
 #include "bytecode/assembler.hh"
 #include "common/fixtures.hh"
 #include "vm/cost_model.hh"
@@ -63,16 +63,20 @@ struct Translated
     }
 };
 
-/** Run check 12 over a (possibly corrupted) stream; return the number
- *  of errors it reports. */
+/** Run the engine-equivalence pass over a (possibly corrupted) copy
+ *  of `t`'s stream; return the number of errors it reports. */
 std::size_t
-check12Errors(const DecodedMethod &decoded)
+equivErrors(const bytecode::Method &code, const Translated &t,
+            const DecodedMethod &decoded)
 {
-    analysis::FusedCheckInput input;
+    analysis::EngineEquivInput input;
+    input.code = &code;
+    input.info = &t.info;
+    input.cm = &t.cm;
     input.decoded = &decoded;
     input.methodName = "main";
     analysis::DiagnosticList diagnostics;
-    analysis::checkFusedStream(input, diagnostics);
+    analysis::checkEngineEquivalence(input, diagnostics);
     return diagnostics.errorCount();
 }
 
@@ -463,9 +467,9 @@ TEST(FusionRuntimeCache, FuseOptionsArePartOfTheCacheKey)
     EXPECT_EQ(observableState(th), observableState(sw));
 }
 
-// ---- check-12 seeded rejections --------------------------------------
+// ---- engine-equivalence seeded rejections ----------------------------
 
-TEST(FusionRuntimeCheck12, CleanStreamsPassAcrossTheMatrix)
+TEST(FusionRuntimeEquiv, CleanStreamsPassAcrossTheMatrix)
 {
     const bytecode::Program fixtures[] = {
         test::figure1Program(),
@@ -477,15 +481,16 @@ TEST(FusionRuntimeCheck12, CleanStreamsPassAcrossTheMatrix)
         for (const FuseOptions &fuse : kFuseMatrix) {
             SCOPED_TRACE(fuseOptionsName(fuse));
             const Translated t(code, fuse);
-            EXPECT_EQ(check12Errors(t.decoded), 0u);
+            EXPECT_EQ(equivErrors(code, t, t.decoded), 0u);
         }
     }
 }
 
-TEST(FusionRuntimeCheck12, RejectsCorruptedOperandBurnIn)
+TEST(FusionRuntimeEquiv, RejectsCorruptedOperandBurnIn)
 {
     const bytecode::Program p = test::figure1Program();
-    const Translated t(p.methods[p.mainMethod], {true, true});
+    const bytecode::Method &code = p.methods[p.mainMethod];
+    const Translated t(code, {true, true});
 
     DecodedMethod broken = t.decoded;
     bool corrupted = false;
@@ -497,13 +502,14 @@ TEST(FusionRuntimeCheck12, RejectsCorruptedOperandBurnIn)
         }
     }
     ASSERT_TRUE(corrupted) << "figure1 produced no fused template";
-    EXPECT_GT(check12Errors(broken), 0u);
+    EXPECT_GT(equivErrors(code, t, broken), 0u);
 }
 
-TEST(FusionRuntimeCheck12, RejectsCorruptedGuardRefund)
+TEST(FusionRuntimeEquiv, RejectsCorruptedGuardRefund)
 {
     const bytecode::Program p = test::figure1Program();
-    const Translated t(p.methods[p.mainMethod], {true, true});
+    const bytecode::Method &code = p.methods[p.mainMethod];
+    const Translated t(code, {true, true});
 
     DecodedMethod broken = t.decoded;
     bool corrupted = false;
@@ -515,13 +521,14 @@ TEST(FusionRuntimeCheck12, RejectsCorruptedGuardRefund)
         }
     }
     ASSERT_TRUE(corrupted) << "figure1 produced no trace guard";
-    EXPECT_GT(check12Errors(broken), 0u);
+    EXPECT_GT(equivErrors(code, t, broken), 0u);
 }
 
-TEST(FusionRuntimeCheck12, RejectsCorruptedTraceBatching)
+TEST(FusionRuntimeEquiv, RejectsCorruptedTraceBatching)
 {
     const bytecode::Program p = test::figure1Program();
-    const Translated t(p.methods[p.mainMethod], {true, true});
+    const bytecode::Method &code = p.methods[p.mainMethod];
+    const Translated t(code, {true, true});
     ASSERT_FALSE(t.decoded.traces.empty());
 
     // Zero the chain total on the head block's leader: the prepaid
@@ -538,13 +545,14 @@ TEST(FusionRuntimeCheck12, RejectsCorruptedTraceBatching)
         }
     }
     ASSERT_TRUE(corrupted);
-    EXPECT_GT(check12Errors(broken), 0u);
+    EXPECT_GT(equivErrors(code, t, broken), 0u);
 }
 
-TEST(FusionRuntimeCheck12, RejectsTamperedTraceSelection)
+TEST(FusionRuntimeEquiv, RejectsTamperedTraceSelection)
 {
     const bytecode::Program p = test::figure1Program();
-    const Translated t(p.methods[p.mainMethod], {true, true});
+    const bytecode::Method &code = p.methods[p.mainMethod];
+    const Translated t(code, {true, true});
     ASSERT_FALSE(t.decoded.traces.empty());
 
     // A stream claiming different chains than selectTraces derives.
@@ -552,21 +560,22 @@ TEST(FusionRuntimeCheck12, RejectsTamperedTraceSelection)
     dropped.traces.clear();
     for (std::int32_t &bt : dropped.blockTrace)
         bt = -1;
-    EXPECT_GT(check12Errors(dropped), 0u);
+    EXPECT_GT(equivErrors(code, t, dropped), 0u);
 
     // Mutually inconsistent traces/blockTrace tables.
     DecodedMethod inconsistent = t.decoded;
     inconsistent.blockTrace[inconsistent.traces.front().front()] = -1;
-    EXPECT_GT(check12Errors(inconsistent), 0u);
+    EXPECT_GT(equivErrors(code, t, inconsistent), 0u);
 }
 
-TEST(FusionRuntimeCheck12, RejectsFusedTopsOutsideTheirMode)
+TEST(FusionRuntimeEquiv, RejectsFusedTopsOutsideTheirMode)
 {
     // A fused superinstruction in a stream translated without
-    // fuse.pairs (mode gating, check 12a): hand the checker a
-    // pairs-fused stream relabelled as unfused.
+    // fuse.pairs (mode gating): hand the checker a pairs-fused stream
+    // relabelled as unfused.
     const bytecode::Program p = test::figure1Program();
-    const Translated t(p.methods[p.mainMethod], {true, false});
+    const bytecode::Method &code = p.methods[p.mainMethod];
+    const Translated t(code, {true, false});
     bool any_fused = false;
     for (const Template &tpl : t.decoded.stream)
         any_fused = any_fused || isFusedTop(tpl.op);
@@ -574,7 +583,7 @@ TEST(FusionRuntimeCheck12, RejectsFusedTopsOutsideTheirMode)
 
     DecodedMethod relabelled = t.decoded;
     relabelled.fuse = {};
-    EXPECT_GT(check12Errors(relabelled), 0u);
+    EXPECT_GT(equivErrors(code, t, relabelled), 0u);
 }
 
 } // namespace

@@ -5,16 +5,17 @@
  * bytecode verifier, the dataflow lints (dead stores, unreachable code,
  * abstract stack/constant findings), and the instrumentation-plan
  * checker over every (DAG mode, numbering scheme, placement)
- * configuration the profiling pipeline can produce.
+ * configuration the profiling pipeline can produce, plus the
+ * engine-equivalence proof of every method's template streams (the
+ * static verification `pep_verify --static-only` runs).
  *
  * Usage:
  *   pep_lint [options] <program.pepasm>...
  *     --json          emit diagnostics as a JSON array
  *     --werror        exit nonzero on warnings too
- *     --no-plan       skip the instrumentation-plan checker
+ *     --no-plan       skip the instrumentation-plan checker and the
+ *                     template-stream proof
  *     --no-passes     skip the dataflow lints
- *     --verify        also run the symbolic engine-equivalence pass
- *                     (analysis/verify/engine_equiv.hh)
  *     --quiet         print errors only (text mode)
  *     --max-paths N   path-enumeration budget for the semantic proof
  *                     (default 4096)
@@ -65,8 +66,6 @@ parseArgs(int argc, char **argv, Options &options)
             options.lint.runPlanChecks = false;
         } else if (arg == "--no-passes") {
             options.lint.runMethodPasses = false;
-        } else if (arg == "--verify") {
-            options.lint.runVerifyPasses = true;
         } else if (arg == "--max-paths") {
             if (i + 1 >= argc)
                 return false;
@@ -105,7 +104,7 @@ main(int argc, char **argv)
         std::fprintf(
             stderr,
             "usage: pep_lint [--json] [--werror] [--quiet] [--no-plan]"
-            " [--no-passes] [--verify] [--max-paths N]"
+            " [--no-passes] [--max-paths N]"
             " <program.pepasm>...\n");
         return 2;
     }
